@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"testing"
+
+	"rpcvalet/internal/sim"
 )
 
 // marginalAllocsPerRequest isolates the steady-state per-request allocation
@@ -15,41 +17,49 @@ func marginalAllocsPerRequest(t *testing.T, run func(measure int)) float64 {
 	return (bigAllocs - baseAllocs) / float64(big-base)
 }
 
-// TestClusterAllocsPerRequest pins the single-engine cluster path: pooled
-// cluster requests plus the pooled machine path underneath. The measured
-// marginal cost is ~0.32 allocations per request — five recorders' worth
-// (four nodes plus the balancer) of amortized epoch-timeline sample growth,
-// nothing O(1) per request — so the budget sits at 0.5: any real
-// per-request allocation reads ≥1.0.
-func TestClusterAllocsPerRequest(t *testing.T) {
-	per := marginalAllocsPerRequest(t, func(measure int) {
-		cfg := baseConfig(4, JSQ{D: 2}, 0.6)
-		cfg.Measure = measure
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if per > 0.5 {
-		t.Errorf("cluster steady-state allocations per request = %.4f, budget 0.5", per)
-	}
-}
-
-// TestShardedAllocsPerRequest pins the sharded round loop. The parallel path
-// pays per-round costs the serial path does not (barrier wakeups, channel
-// operations in the goroutine runtime), and rounds scale with simulated time
-// — measured ~0.70 per request with two shards — so the budget is looser,
-// but still close enough to one that the pooled shardReq/doneEvt exchange
-// cannot silently start allocating per message.
-func TestShardedAllocsPerRequest(t *testing.T) {
-	per := marginalAllocsPerRequest(t, func(measure int) {
-		cfg := baseConfig(4, JSQ{D: 2}, 0.6)
-		cfg.Shards = 2
-		cfg.Measure = measure
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if per > 1.2 {
-		t.Errorf("sharded steady-state allocations per request = %.4f, budget 1.2", per)
+// TestAllocsPerRequest pins the per-request allocation cost of every
+// execution shape, four nodes each (two-tier: two racks of two).
+//
+// On one engine the measured marginal cost is ~0.32 allocations per request
+// — five recorders' worth (four nodes plus the front) of amortized
+// epoch-timeline sample growth, nothing O(1) per request — so the budget
+// sits at 0.5: any real per-request allocation reads ≥1.0.
+//
+// Sharded runs pay per-round costs the serial engine does not (barrier
+// wakeups, channel operations in the goroutine runtime), and rounds scale
+// with simulated time — measured ~0.58 per request — so the budget is
+// looser, but still close enough to one that the pooled trackers crossing
+// the cut cannot silently start allocating per message.
+func TestAllocsPerRequest(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		racks  int
+		shards int
+		budget float64
+	}{
+		{"flat-serial", 0, 0, 0.5},
+		{"flat-sharded", 0, 2, 1.2},
+		{"two-tier-serial", 2, 0, 0.5},
+		{"two-tier-sharded", 2, 2, 1.2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			per := marginalAllocsPerRequest(t, func(measure int) {
+				cfg := baseConfig(4, JSQ{D: 2}, 0.6)
+				if tc.racks > 0 {
+					cfg.Racks = tc.racks
+					cfg.GlobalPolicy = JSQ{D: FullScan}
+					cfg.GlobalHop = 500 * sim.Nanosecond
+				}
+				cfg.Shards = tc.shards
+				cfg.Measure = measure
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if per > tc.budget {
+				t.Errorf("steady-state allocations per request = %.4f, budget %.1f", per, tc.budget)
+			}
+			t.Logf("%.4f allocations per request", per)
+		})
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"rpcvalet/internal/arrival"
 	"rpcvalet/internal/machine"
 	"rpcvalet/internal/metrics"
-	"rpcvalet/internal/rng"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/stats"
 	"rpcvalet/internal/trace"
@@ -102,7 +101,8 @@ type Config struct {
 	// On a hierarchical run (Racks > 0) the shards are the racks: any
 	// Shards > 1 runs one engine per rack plus the global balancer's, with
 	// GlobalHop as the conservative lookahead (so it must be positive),
-	// and the rack-internal hop stays intra-shard. See hier_shard.go.
+	// and the rack-internal hop stays intra-shard. run.go describes both
+	// partitions.
 	Shards int
 
 	// Racks arranges the cluster as a two-tier datacenter: a global
@@ -197,10 +197,6 @@ func ParseFaults(spec string) ([]NodeFault, error) {
 	return out, nil
 }
 
-// Hierarchical reports whether the config describes a two-tier topology
-// (Racks >= 1) rather than the flat single-balancer cluster.
-func (c Config) Hierarchical() bool { return c.Racks > 0 }
-
 func (c Config) validate() error {
 	switch {
 	case c.Nodes <= 0:
@@ -225,13 +221,13 @@ func (c Config) validate() error {
 		return fmt.Errorf("cluster: negative epoch bound")
 	case c.Shards < 0:
 		return fmt.Errorf("cluster: negative shard count %d", c.Shards)
-	case c.Shards > 1 && !c.Hierarchical() && c.Hop <= 0:
+	case c.Shards > 1 && c.Racks == 0 && c.Hop <= 0:
 		return fmt.Errorf("cluster: Shards=%d needs a positive Hop (the conservative lookahead window)", c.Shards)
 	case c.Racks < 0:
 		return fmt.Errorf("cluster: negative rack count %d", c.Racks)
 	case c.Racks > c.Nodes:
 		return fmt.Errorf("cluster: %d racks for %d nodes", c.Racks, c.Nodes)
-	case !c.Hierarchical() && (c.GlobalPolicy != nil || c.GlobalHop != 0 || c.GlobalSampleEvery != 0 || len(c.RackNodes) != 0):
+	case c.Racks == 0 && (c.GlobalPolicy != nil || c.GlobalHop != 0 || c.GlobalSampleEvery != 0 || len(c.RackNodes) != 0):
 		return fmt.Errorf("cluster: global-tier fields (GlobalPolicy/GlobalHop/GlobalSampleEvery/RackNodes) need Racks >= 1")
 	case c.GlobalHop < 0:
 		return fmt.Errorf("cluster: negative global hop latency")
@@ -241,11 +237,11 @@ func (c Config) validate() error {
 		return fmt.Errorf("cluster: Racks=%d needs a GlobalPolicy to pick racks", c.Racks)
 	case len(c.RackNodes) != 0 && len(c.RackNodes) != c.Racks:
 		return fmt.Errorf("cluster: %d rack sizes for %d racks", len(c.RackNodes), c.Racks)
-	case c.Hierarchical() && len(c.RackNodes) == 0 && c.Nodes%c.Racks != 0:
+	case c.Racks > 0 && len(c.RackNodes) == 0 && c.Nodes%c.Racks != 0:
 		return fmt.Errorf("cluster: %d nodes do not evenly partition into %d racks (size them with RackNodes)", c.Nodes, c.Racks)
-	case c.Hierarchical() && c.Shards > 1 && c.GlobalHop <= 0:
+	case c.Racks > 0 && c.Shards > 1 && c.GlobalHop <= 0:
 		return fmt.Errorf("cluster: hierarchical Shards=%d needs a positive GlobalHop (the conservative lookahead window)", c.Shards)
-	case c.Hierarchical() && c.Shards > 1 && c.GlobalSampleEvery > 0:
+	case c.Racks > 0 && c.Shards > 1 && c.GlobalSampleEvery > 0:
 		return fmt.Errorf("cluster: hierarchical Shards>1 cannot scrape rack aggregates (GlobalSampleEvery must be 0)")
 	}
 	if len(c.RackNodes) != 0 {
@@ -262,7 +258,7 @@ func (c Config) validate() error {
 	}
 	for _, f := range c.Faults {
 		if f.Rack {
-			if !c.Hierarchical() {
+			if c.Racks == 0 {
 				return fmt.Errorf("cluster: rack-scoped fault %s needs Racks >= 1", f)
 			}
 			if f.Node < 0 || f.Node >= c.Racks {
@@ -417,266 +413,6 @@ func (v *view) snapshotFrom(depth func(i int) int) {
 		v.sent[i] = 0
 	}
 	v.idx.rebuild(v.stale)
-}
-
-// clusterReq is the balancer's pooled per-request tracker: it carries one
-// RPC's identity through the hop event and its completion callback, then
-// returns to the free-list (the completion callback is its last reader).
-type clusterReq struct {
-	id   uint64
-	node int
-	sent sim.Time
-}
-
-// nodeTracer adapts one node's machine-internal trace stream to the
-// cluster-wide view: machines number injected requests 0,1,2,... in inject
-// order, so the cluster appends each request's cluster-wide sequence number
-// to ids at inject time and the machine's request ID indexes it directly.
-// Every event is re-labeled with the cluster ID and the node index before
-// reaching the shared sink.
-type nodeTracer struct {
-	node int
-	ids  []uint64
-	emit func(trace.Event)
-}
-
-// Record implements trace.Recorder.
-func (t *nodeTracer) Record(e trace.Event) {
-	e.ReqID = t.ids[e.ReqID]
-	e.Node = t.node
-	t.emit(e)
-}
-
-// Run simulates the configured cluster and returns its measurements.
-// Identical configurations produce identical results: the nodes, the
-// arrival stream, and the policy all draw from streams split off cfg.Seed,
-// and the whole cluster executes on one deterministic engine — or, with
-// Config.Shards > 1, on several engines advanced in deterministic
-// hop-lookahead rounds (see shard.go).
-func Run(cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	if cfg.Hierarchical() {
-		if cfg.Shards > 1 {
-			return runHierSharded(cfg)
-		}
-		return runHier(cfg)
-	}
-	if cfg.Shards > 1 && min(cfg.Shards, cfg.Nodes) > 1 {
-		return runSharded(cfg)
-	}
-	eng := sim.New()
-	root := rng.New(cfg.Seed)
-	arrRNG := root.Split()
-	polRNG := root.Split()
-
-	// Tracing sinks: tail sees every request (exact K-slowest); the user
-	// Recorder sees one request in sampleN. With both off, record stays nil
-	// and no trace code touches the run — byte-identical streams.
-	var tail *trace.TailSampler
-	if cfg.TailSamples > 0 {
-		tail = trace.NewTailSampler(cfg.TailSamples)
-	}
-	sampleN := uint64(1)
-	if cfg.TraceSample > 1 {
-		sampleN = uint64(cfg.TraceSample)
-	}
-	var record func(trace.Event)
-	if cfg.Trace != nil || tail != nil {
-		record = func(e trace.Event) {
-			if tail != nil {
-				tail.Record(e)
-			}
-			if cfg.Trace != nil && e.ReqID%sampleN == 0 {
-				cfg.Trace.Record(e)
-			}
-		}
-	}
-
-	faultByNode := make([]machine.Fault, cfg.Nodes)
-	for _, f := range cfg.Faults {
-		faultByNode[f.Node] = machine.Fault{Slowdown: f.Slowdown, Pauses: f.Pauses}
-	}
-	nodes := make([]*machine.Machine, cfg.Nodes)
-	tracers := make([]*nodeTracer, cfg.Nodes)
-	for i := range nodes {
-		ncfg := cfg.Node
-		ncfg.Seed = root.Split().Uint64()
-		ncfg.Epoch = cfg.Epoch
-		ncfg.MaxEpochs = cfg.MaxEpochs
-		if len(cfg.NodePlans) > 0 && cfg.NodePlans[i] != nil {
-			ncfg.Params.Plan = cfg.NodePlans[i]
-		}
-		ncfg.Slowdown = faultByNode[i].Slowdown
-		ncfg.Pauses = faultByNode[i].Pauses
-		if record != nil {
-			tracers[i] = &nodeTracer{node: i, emit: record}
-			ncfg.Trace = tracers[i]
-			ncfg.TraceSample = 0 // sampling happens on cluster IDs, above
-			ncfg.TailSamples = 0 // the cluster-level tail splices the hop in
-		}
-		m, err := machine.NewShared(ncfg, eng)
-		if err != nil {
-			return Result{}, fmt.Errorf("cluster: node %d: %w", i, err)
-		}
-		nodes[i] = m
-	}
-
-	// The balancer is one dispatch tier over the node set (tier.go) — the
-	// same abstraction the hierarchical engines stack two of.
-	bal := newTier(cfg.Policy, polRNG, cfg.Nodes, cfg.SampleEvery == 0)
-	bal.scheduleRefresh(eng, cfg.SampleEvery)
-	v := bal.v
-
-	var (
-		completed     int
-		totalOut      int // RPCs dispatched and not yet complete, cluster-wide
-		nodeCompleted = make([]int, cfg.Nodes)
-		target        = cfg.Warmup + cfg.Measure
-		timedOut      bool
-	)
-	rec := metrics.NewRecorder(metrics.Config{EpochNanos: cfg.Epoch.Nanos(), MaxEpochs: cfg.MaxEpochs, Expect: cfg.Measure})
-	if cfg.MaxSimTime > 0 {
-		eng.Schedule(cfg.MaxSimTime, func() {
-			timedOut = true
-			eng.Stop()
-		})
-	}
-
-	var runErr error
-	gaps := arrival.NewBatch(arrival.Resolve(cfg.Arrival, cfg.RateMRPS), arrRNG, 0)
-	var seq uint64 // cluster-wide request sequence number
-
-	// The per-request state rides a pooled tracker through the hop event and
-	// the completion callback; the two callbacks below are bound once per
-	// run, so the steady-state balancer path allocates nothing per RPC.
-	var pool []*clusterReq
-	doneFn := func(arg any, _ int, measured bool) {
-		r := arg.(*clusterReq)
-		n := r.node
-		v.completed(n)
-		totalOut--
-		completed++
-		nodeCompleted[n]++
-		pool = append(pool, r)
-		if completed == cfg.Warmup+1 {
-			rec.OpenWindow(eng.Now())
-		}
-		rec.Complete(eng.Now(), metrics.Completion{
-			Class:     -1,
-			Measured:  measured,
-			LatencyNs: eng.Now().Sub(r.sent).Nanos(),
-			WaitNs:    -1,
-			ServiceNs: -1,
-			Depth:     totalOut,
-		})
-		if completed >= target {
-			rec.CloseWindow(eng.Now())
-			eng.Stop()
-		}
-	}
-	hopFn := func(arg any) {
-		r := arg.(*clusterReq)
-		if record != nil {
-			// The machine numbers this inject len(ids); remember its
-			// cluster-wide identity at that index.
-			tracers[r.node].ids = append(tracers[r.node].ids, r.id)
-		}
-		nodes[r.node].InjectArg(doneFn, r)
-	}
-	var arrive func()
-	arrive = func() {
-		id := seq
-		seq++
-		n := bal.pick()
-		if n < 0 || n >= cfg.Nodes {
-			// A custom policy misbehaved; fail attributably rather than
-			// panicking deep inside a deferred engine callback.
-			runErr = fmt.Errorf("cluster: policy %s picked node %d of %d", cfg.Policy, n, cfg.Nodes)
-			eng.Stop()
-			return
-		}
-		if record != nil {
-			// Depths are the balancer's pre-decision view: cluster-wide
-			// outstanding at ingress, the chosen node's depth at forward.
-			now := eng.Now()
-			record(trace.Event{ReqID: id, Phase: trace.PhaseBalancerRecv, At: now, Core: -1, Node: -1, Depth: totalOut})
-			record(trace.Event{ReqID: id, Phase: trace.PhaseForward, At: now, Core: -1, Node: n, Depth: v.Depth(n)})
-		}
-		v.dispatched(n)
-		totalOut++
-		var r *clusterReq
-		if np := len(pool); np > 0 {
-			r = pool[np-1]
-			pool = pool[:np-1]
-		} else {
-			r = &clusterReq{}
-		}
-		r.id, r.node, r.sent = id, n, eng.Now()
-		eng.ScheduleArg(cfg.Hop, hopFn, r)
-		eng.Schedule(gaps.Next(), arrive)
-	}
-	eng.Schedule(gaps.Next(), arrive)
-	eng.Run()
-	if runErr != nil {
-		return Result{}, runErr
-	}
-
-	return assemble(cfg, rec, tail, nodes, faultByNode, nodeCompleted, completed, timedOut), nil
-}
-
-// assemble builds the Result from a finished run's recorders and machines.
-// Both engine paths (single-clock Run, sharded runSharded) end here, so the
-// derived fields are computed identically.
-func assemble(cfg Config, rec *metrics.Recorder, tail *trace.TailSampler,
-	nodes []*machine.Machine, faultByNode []machine.Fault,
-	nodeCompleted []int, completed int, timedOut bool) Result {
-	res := Result{
-		Policy:        cfg.Policy.String(),
-		Nodes:         cfg.Nodes,
-		RateMRPS:      cfg.RateMRPS,
-		Seed:          cfg.Seed,
-		Latency:       rec.Latency(),
-		NodeCompleted: nodeCompleted,
-		Completed:     completed,
-		TimedOut:      timedOut,
-		Timeline:      rec.Timeline(),
-	}
-	if tail != nil {
-		res.TailSpans = tail.Spans()
-	}
-	if start, end := rec.Window(); end > start {
-		res.ThroughputMRPS = float64(cfg.Measure-1) / end.Sub(start).Nanos() * 1000
-	}
-	mean := float64(completed) / float64(cfg.Nodes)
-	if mean > 0 {
-		maxN := 0
-		for _, c := range nodeCompleted {
-			if c > maxN {
-				maxN = c
-			}
-		}
-		res.Imbalance = float64(maxN) / mean
-	}
-	for i, m := range nodes {
-		res.NodeUtilization = append(res.NodeUtilization, m.MeanCoreUtilization())
-		res.NodeDispatch = append(res.NodeDispatch, m.DispatchLabel())
-		res.NodeFaults = append(res.NodeFaults, faultByNode[i].String())
-		res.NodeTimelines = append(res.NodeTimelines, m.Timeline())
-	}
-
-	// SLO: absolute when the workload specifies one, otherwise the SLO
-	// factor applied to the estimated mean service time (handler mean plus
-	// fixed per-request core overhead) — the same S̄ CapacityMRPS uses.
-	wl := cfg.Node.Workload
-	if wl.SLONanos > 0 {
-		res.SLONanos = wl.SLONanos
-	} else {
-		res.SLONanos = wl.SLOFactor * (wl.MeanService() + cfg.Node.Params.CoreOverheadNanos())
-	}
-	res.MeetsSLO = !timedOut && res.Latency.Count > 0 && res.Latency.P99 <= res.SLONanos
-	return res
 }
 
 // Point is one (rate, tail) observation of a cluster latency-throughput

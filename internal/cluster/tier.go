@@ -2,10 +2,11 @@ package cluster
 
 // tier.go: the composable dispatch tier behind every balancer in the
 // package. A tier is one balancing stage — a Policy deciding over a depth
-// view of E endpoints: machines for the flat cluster balancer (cluster.go,
-// shard.go) and for each rack balancer, whole racks for the global balancer
-// of a two-tier datacenter (hier.go). The depth index rides inside the view,
-// so the O(N/64) indexed policies work unchanged at either tier.
+// view of E endpoints: machines for each rack balancer (the flat cluster is
+// one rack), whole racks for the global balancer of a two-tier datacenter.
+// The runner (run.go) chains them and places each on an engine. The depth
+// index rides inside the view, so the O(N/64) indexed policies work
+// unchanged at either tier.
 //
 // The property that makes tiers stack is that a tier also *exposes* the
 // depth-observable surface a node does: aggregate() is the tier's total
@@ -21,11 +22,14 @@ import (
 )
 
 // tier is one balancing stage: a policy, its private RNG stream, and the
-// depth view it decides over.
+// depth view it decides over. across marks a tier whose endpoints run on
+// the far side of a partitioned run's cut (run.go): it learns of their
+// completions one cut hop late, through the front engine.
 type tier struct {
-	pol Policy
-	rng *rng.Source
-	v   *view
+	pol    Policy
+	rng    *rng.Source
+	v      *view
+	across bool
 }
 
 // newTier builds a tier over `endpoints` endpoints. A nil policy is allowed
@@ -86,23 +90,4 @@ func (t *tier) scheduleScrape(eng *sim.Engine, every sim.Duration, depth func(i 
 		eng.Schedule(every, refresh)
 	}
 	eng.Schedule(every, refresh)
-}
-
-// rackGeometry resolves the rack partition of a validated hierarchical
-// config: each rack's node count and starting global node index. Racks are
-// contiguous: rack r owns nodes [start[r], start[r]+size[r]).
-func rackGeometry(cfg Config) (size, start []int) {
-	size = make([]int, cfg.Racks)
-	start = make([]int, cfg.Racks)
-	at := 0
-	for r := 0; r < cfg.Racks; r++ {
-		if len(cfg.RackNodes) > 0 {
-			size[r] = cfg.RackNodes[r]
-		} else {
-			size[r] = cfg.Nodes / cfg.Racks
-		}
-		start[r] = at
-		at += size[r]
-	}
-	return size, start
 }

@@ -16,12 +16,13 @@
 // shard count.
 //
 // Epoch rounds were chosen over a barrier-free atomic-horizon protocol
-// after profiling: a 100-node cluster run spans only ~32 hop-wide rounds
-// with ~10 ms of simulation work per round, so round-granularity
-// synchronization costs well under 0.1% of the run — the simpler protocol
-// wins. The dependency graph is also bipartite (balancer ↔ node shards),
-// so per-pair horizon tracking would degenerate into the same global
-// cadence anyway.
+// after profiling: a 100-node cluster run (JSQ(2), 0.7 load, 500 ns hop,
+// 10.5k completions) spans 19 hop-wide rounds — the simulated span over
+// the hop — with milliseconds of simulation work per round, so
+// round-granularity synchronization costs well under 0.1% of the run — the
+// simpler protocol wins. The dependency graph is also bipartite (balancer ↔
+// node shards), so per-pair horizon tracking would degenerate into the same
+// global cadence anyway.
 package pdes
 
 import (
