@@ -267,8 +267,8 @@ func (c Config) validate() error {
 		} else if f.Node < 0 || f.Node >= c.Nodes {
 			return fmt.Errorf("cluster: fault for node %d of %d", f.Node, c.Nodes)
 		}
-		if f.Slowdown < 0 {
-			return fmt.Errorf("cluster: node %d negative slowdown %g", f.Node, f.Slowdown)
+		if err := (machine.Fault{Slowdown: f.Slowdown, Pauses: f.Pauses}).Validate(); err != nil {
+			return fmt.Errorf("cluster: fault %s: %w", f, err)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestParseFaults(t *testing.T) {
 	if fs[1].Node != 3 || len(fs[1].Pauses) != 1 || fs[1].Pauses[0].Start != sim.FromMicros(500) {
 		t.Fatalf("entry 1 = %+v", fs[1])
 	}
-	for _, bad := range []string{"x1.5", "a:x1.5", "-1:x2", "0:z9"} {
+	for _, bad := range []string{"x1.5", "a:x1.5", "-1:x2", "0:z9", "0:xNaN", "0:xInf", "rack0:x-Inf"} {
 		if _, err := ParseFaults(bad); err == nil {
 			t.Errorf("ParseFaults(%q) accepted", bad)
 		}
@@ -91,6 +92,9 @@ func TestFaultValidation(t *testing.T) {
 		"nodeOutOfRange": {{Node: 2, Slowdown: 1.5}},
 		"negativeNode":   {{Node: -1, Slowdown: 1.5}},
 		"negativeSlow":   {{Node: 0, Slowdown: -2}},
+		"nanSlow":        {{Node: 0, Slowdown: math.NaN()}},
+		"infSlow":        {{Node: 0, Slowdown: math.Inf(1)}},
+		"negativePause":  {{Node: 0, Pauses: []machine.Pause{{Start: -1, Dur: 1}}}},
 	} {
 		cfg := good
 		cfg.Faults = faults

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -18,8 +19,24 @@ type Pause struct {
 	Dur   sim.Duration
 }
 
+// String prints the window in the ParseFault grammar, exactly, so it parses
+// back to the same window.
 func (p Pause) String() string {
-	return fmt.Sprintf("pause@%gus+%gus", p.Start.Micros(), p.Dur.Micros())
+	return "pause@" + micros(p.Start) + "us+" + micros(p.Dur) + "us"
+}
+
+// micros prints d as a plain decimal count of microseconds: never exponent
+// notation ("1e+06us" would not parse back), never rounded.
+func micros(d sim.Duration) string {
+	sign, u := "", uint64(d)
+	if d < 0 {
+		sign, u = "-", -u
+	}
+	s := sign + strconv.FormatUint(u/uint64(sim.Microsecond), 10)
+	if frac := u % uint64(sim.Microsecond); frac != 0 {
+		s += strings.TrimRight(fmt.Sprintf(".%06d", frac), "0")
+	}
+	return s
 }
 
 // PauseStall returns how long work beginning at time t must stall to clear
@@ -50,9 +67,11 @@ type Fault struct {
 	Pauses   []Pause
 }
 
-func (f Fault) validate() error {
-	if f.Slowdown < 0 {
-		return fmt.Errorf("machine: negative slowdown %g", f.Slowdown)
+// Validate rejects a fault no server can run: a negative or non-finite
+// slowdown, or a negative pause window.
+func (f Fault) Validate() error {
+	if f.Slowdown < 0 || math.IsNaN(f.Slowdown) || math.IsInf(f.Slowdown, 0) {
+		return fmt.Errorf("machine: slowdown %g must be a finite factor >= 0", f.Slowdown)
 	}
 	for _, p := range f.Pauses {
 		if p.Start < 0 || p.Dur < 0 {
@@ -89,7 +108,7 @@ func ParseFault(spec string) (Fault, error) {
 			continue
 		case strings.HasPrefix(term, "x"):
 			v, err := strconv.ParseFloat(term[1:], 64)
-			if err != nil || v <= 0 {
+			if err != nil || !(v > 0) || math.IsInf(v, 0) {
 				return Fault{}, fmt.Errorf("machine: bad slowdown %q (want e.g. x1.5)", term)
 			}
 			f.Slowdown = v
@@ -112,5 +131,5 @@ func ParseFault(spec string) (Fault, error) {
 			return Fault{}, fmt.Errorf("machine: bad fault term %q (want x<factor> or pause@START+DUR)", term)
 		}
 	}
-	return f, f.validate()
+	return f, f.Validate()
 }

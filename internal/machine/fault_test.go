@@ -23,10 +23,30 @@ func TestParseFault(t *testing.T) {
 	if err != nil || f.Slowdown != 2 || len(f.Pauses) != 2 {
 		t.Fatalf("combined -> %+v, %v", f, err)
 	}
-	for _, bad := range []string{"y1.5", "x0", "x-1", "pause@50us", "pause@+10us", "pause@zz+10us", "1.5"} {
+	for _, bad := range []string{"y1.5", "x0", "x-1", "pause@50us", "pause@+10us", "pause@zz+10us", "1.5",
+		"xNaN", "xnan", "xInf", "x+Inf", "x-Inf", "xinfinity"} {
 		if _, err := ParseFault(bad); err == nil {
 			t.Errorf("ParseFault(%q) accepted", bad)
 		}
+	}
+}
+
+// TestPauseStringRoundTrips: a window prints exactly, in plain decimal
+// microseconds, and parses back to itself — including spans a float64
+// cannot count in picoseconds.
+func TestPauseStringRoundTrips(t *testing.T) {
+	for _, p := range []Pause{
+		{Start: 200 * sim.Microsecond, Dur: 100 * sim.Microsecond},
+		{Start: sim.Second, Dur: 1},
+		{Start: 277000000000111000, Dur: 1<<63 - 1},
+	} {
+		f, err := ParseFault(p.String())
+		if err != nil || len(f.Pauses) != 1 || f.Pauses[0] != p {
+			t.Errorf("%v parses back to %+v, %v", p, f, err)
+		}
+	}
+	if got := (Pause{Start: sim.Second, Dur: 1500 * sim.Nanosecond}).String(); got != "pause@1000000us+1.5us" {
+		t.Errorf("String = %q", got)
 	}
 }
 

@@ -219,7 +219,7 @@ func (c Config) validate() error {
 	case c.MaxEpochs < 0:
 		return fmt.Errorf("machine: negative epoch bound")
 	default:
-		return c.fault().validate()
+		return c.fault().Validate()
 	}
 }
 
@@ -246,7 +246,7 @@ func NewShared(cfg Config, eng *sim.Engine) (*Machine, error) {
 	if err := cfg.Workload.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.fault().validate(); err != nil {
+	if err := cfg.fault().Validate(); err != nil {
 		return nil, err
 	}
 	return build(cfg, eng, true)

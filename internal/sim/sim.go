@@ -15,6 +15,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"strconv"
 	"strings"
 )
@@ -62,26 +64,37 @@ func FromMicros(us float64) Duration { return FromNanos(us * 1e3) }
 // string that names a simulated time.
 func ParseDuration(s string) (Duration, error) {
 	str := strings.TrimSpace(s)
-	unit := 1.0 // ns
+	unit := Nanosecond
 	switch {
 	case strings.HasSuffix(str, "ns"):
 		str = str[:len(str)-2]
 	case strings.HasSuffix(str, "us"), strings.HasSuffix(str, "µs"):
 		str = strings.TrimSuffix(strings.TrimSuffix(str, "us"), "µs")
-		unit = 1e3
+		unit = Microsecond
 	case strings.HasSuffix(str, "ms"):
-		str, unit = str[:len(str)-2], 1e6
+		str, unit = str[:len(str)-2], Millisecond
 	case strings.HasSuffix(str, "s"):
-		str, unit = str[:len(str)-1], 1e9
+		str, unit = str[:len(str)-1], Second
 	}
 	v, err := strconv.ParseFloat(str, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("sim: bad duration %q (want e.g. 500ns, 50us, 1.5ms)", s)
 	}
 	if v < 0 {
 		return 0, fmt.Errorf("sim: negative duration %q", s)
 	}
-	return FromNanos(v * unit), nil
+	// Scale the text itself, not v: a float64 holds whole picoseconds only
+	// up to 2^53 ps (about 2.5 hours), and every span must parse to its
+	// nearest picosecond.
+	x, _, err := big.ParseFloat(str, 0, 256, big.ToNearestEven)
+	var ps *big.Int
+	if err == nil {
+		ps, _ = x.Mul(x, new(big.Float).SetInt64(int64(unit))).Add(x, big.NewFloat(0.5)).Int(nil)
+	}
+	if ps == nil || !ps.IsInt64() {
+		return 0, fmt.Errorf("sim: duration %q out of range", s)
+	}
+	return Duration(ps.Int64()), nil
 }
 
 // Add returns the time d after t.

@@ -534,3 +534,32 @@ func TestScheduleReusesFiredEvents(t *testing.T) {
 		t.Fatalf("Schedule allocates %v objects/op after warmup, want 0", allocs)
 	}
 }
+
+// TestParseDuration: every unit converts to the nearest picosecond exactly,
+// past the 2^53 ps a float64 can count, and non-finite, negative or
+// out-of-range spans are errors.
+func TestParseDuration(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Duration
+	}{
+		{"500", 500 * Nanosecond},
+		{"500ns", 500 * Nanosecond},
+		{"0.1us", 100 * Nanosecond},
+		{"50µs", 50 * Microsecond},
+		{"1.5ms", 1500 * Microsecond},
+		{"2s", 2 * Second},
+		{" 0.000001us ", Picosecond},
+		{"277000000000.111us", 277000000000111000},
+		{"9223372.036854775807s", 1<<63 - 1},
+	} {
+		if got, err := ParseDuration(c.in); err != nil || got != c.want {
+			t.Errorf("ParseDuration(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+	}
+	for _, bad := range []string{"", "us", "1h", "-1us", "NaN", "Inf", "infinity", "+Infus", "1e400s", "9223372.036854775808s", "0e0100000000000000000000ns"} {
+		if d, err := ParseDuration(bad); err == nil {
+			t.Errorf("ParseDuration(%q) = %d, accepted", bad, d)
+		}
+	}
+}
