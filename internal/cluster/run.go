@@ -83,9 +83,12 @@ type req struct {
 	measured bool     // set at completion
 }
 
-// part is one engine of the partition and the state its goroutine owns.
+// part is one engine of the partition and the state its goroutine owns. The
+// engine is held by value: allocated apart, the small engine structs of a
+// partitioned run pack into shared cache lines that every event on every
+// goroutine writes.
 type part struct {
-	eng  *sim.Engine
+	eng  sim.Engine
 	emit func(trace.Event) // nil with tracing off
 	buf  []trace.Event     // partitioned runs: this round's events, flushed at exchange
 	out  pdes.Mailbox[req] // this round's messages across the cut
@@ -219,7 +222,7 @@ func newRunner(cfg Config) (*runner, error) {
 
 	r.parts = make([]*part, r.pt.groups+1)
 	for i := range r.parts {
-		p := &part{eng: sim.New()}
+		p := &part{}
 		switch {
 		case r.sink == nil:
 		case r.pt.groups == 0:
@@ -256,7 +259,7 @@ func newRunner(cfg Config) (*runner, error) {
 		for i := start[k]; i < start[k]+size[k]; i++ {
 			r.nodePart[i] = rk.p
 		}
-		rk.scheduleRefresh(rk.p.eng, cfg.SampleEvery)
+		rk.scheduleRefresh(&rk.p.eng, cfg.SampleEvery)
 		r.racks[k] = rk
 	}
 	if g := r.pt.groups; g > 0 && !r.pt.atGlobal {
@@ -288,7 +291,7 @@ func newRunner(cfg Config) (*runner, error) {
 			ncfg.TraceSample = 0 // sampling happens on cluster IDs, in record
 			ncfg.TailSamples = 0 // the cluster-level tail splices the hops in
 		}
-		m, err := machine.NewShared(ncfg, r.nodePart[i].eng)
+		m, err := machine.NewShared(ncfg, &r.nodePart[i].eng)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
@@ -303,7 +306,7 @@ func newRunner(cfg Config) (*runner, error) {
 	if cfg.Racks > 0 {
 		r.global = newTier(cfg.GlobalPolicy, globalRNG, cfg.Racks, cfg.GlobalSampleEvery == 0)
 		r.global.across = r.pt.groups > 0
-		r.global.scheduleScrape(r.front.eng, cfg.GlobalSampleEvery, func(k int) int { return r.racks[k].aggregate() })
+		r.global.scheduleScrape(&r.front.eng, cfg.GlobalSampleEvery, func(k int) int { return r.racks[k].aggregate() })
 	}
 
 	r.nodeCompleted = make([]int, cfg.Nodes)
