@@ -259,7 +259,7 @@ func newRunner(cfg Config) (*runner, error) {
 		for i := start[k]; i < start[k]+size[k]; i++ {
 			r.nodePart[i] = rk.p
 		}
-		rk.scheduleRefresh(&rk.p.eng, cfg.SampleEvery)
+		rk.scheduleRefresh(&rk.p.eng, cfg.SampleEvery, nil)
 		r.racks[k] = rk
 	}
 	if g := r.pt.groups; g > 0 && !r.pt.atGlobal {
@@ -306,7 +306,7 @@ func newRunner(cfg Config) (*runner, error) {
 	if cfg.Racks > 0 {
 		r.global = newTier(cfg.GlobalPolicy, globalRNG, cfg.Racks, cfg.GlobalSampleEvery == 0)
 		r.global.across = r.pt.groups > 0
-		r.global.scheduleScrape(&r.front.eng, cfg.GlobalSampleEvery, func(k int) int { return r.racks[k].aggregate() })
+		r.global.scheduleRefresh(&r.front.eng, cfg.GlobalSampleEvery, func(k int) int { return r.racks[k].aggregate() })
 	}
 
 	r.nodeCompleted = make([]int, cfg.Nodes)
@@ -370,7 +370,7 @@ func (r *runner) arrive() {
 			// Depths are the global tier's pre-decision view: outstanding at
 			// ingress, its view of the chosen rack at forward.
 			f.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseGlobalRecv, At: q.sent, Core: -1, Node: -1, Depth: r.totalOut})
-			f.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseGlobalForward, At: q.sent, Core: -1, Node: q.rack, Depth: g.depth(q.rack)})
+			f.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseGlobalForward, At: q.sent, Core: -1, Node: q.rack, Depth: g.Depth(q.rack)})
 		}
 		g.dispatched(q.rack)
 	}
@@ -413,7 +413,7 @@ func (r *runner) recv(arg any) {
 			depth = r.totalOut
 		}
 		p.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseBalancerRecv, At: now, Core: -1, Node: -1, Depth: depth})
-		p.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseForward, At: now, Core: -1, Node: q.node, Depth: rk.depth(local)})
+		p.emit(trace.Event{ReqID: q.id, Phase: trace.PhaseForward, At: now, Core: -1, Node: q.node, Depth: rk.Depth(local)})
 	}
 	rk.dispatched(local)
 	r.forward(p, q, r.cfg.Hop, rk.across, r.injectFn)

@@ -22,71 +22,52 @@ import (
 )
 
 // tier is one balancing stage: a policy, its private RNG stream, and the
-// depth view it decides over. across marks a tier whose endpoints run on
+// depth view it decides over (embedded, so dispatched, completed and Depth
+// are the tier's own surface). across marks a tier whose endpoints run on
 // the far side of a partitioned run's cut (run.go): it learns of their
 // completions one cut hop late, through the front engine.
 type tier struct {
+	*view
 	pol    Policy
 	rng    *rng.Source
-	v      *view
 	across bool
 }
 
 // newTier builds a tier over `endpoints` endpoints. A nil policy is allowed
 // only for a degenerate single-endpoint tier whose caller never calls pick.
 func newTier(pol Policy, src *rng.Source, endpoints int, live bool) *tier {
-	return &tier{pol: pol, rng: src, v: newView(endpoints, live)}
+	return &tier{view: newView(endpoints, live), pol: pol, rng: src}
 }
 
 // pick runs the tier's policy over its current view.
-func (t *tier) pick() int { return t.pol.Pick(t.v, t.rng) }
-
-// dispatched records one RPC routed to endpoint i (always visible
-// immediately — the decision happens here).
-func (t *tier) dispatched(i int) { t.v.dispatched(i) }
-
-// completed records one RPC known to have drained from endpoint i.
-func (t *tier) completed(i int) { t.v.completed(i) }
-
-// depth is the tier's visible depth of endpoint i.
-func (t *tier) depth(i int) int { return t.v.Depth(i) }
+func (t *tier) pick() int { return t.pol.Pick(t.view, t.rng) }
 
 // aggregate is the tier's own published depth signal: the total visible
 // outstanding across its endpoints, read off the depth index's running sum in
 // O(1). For a live view this is exact; for a stale view it reflects the
 // tier's own sampling delay — an enclosing tier scraping it inherits that
 // staleness, exactly as real telemetry pipelines compound.
-func (t *tier) aggregate() int { return t.v.idx.total }
+func (t *tier) aggregate() int { return t.idx.total }
 
 // scheduleRefresh installs the tier's periodic stale-view snapshot on eng
 // (no-op for a live view): every `every`, the visible depths are reset to
-// the tier's own outstanding truth.
-func (t *tier) scheduleRefresh(eng *sim.Engine, every sim.Duration) {
-	if t.v.live {
+// the tier's own outstanding truth — or, with scrape set, to an external
+// depth source: the global tier scraping each rack balancer's published
+// aggregate. Endpoints dispatched to since the last snapshot still count
+// live (view.sent), so the tier never forgets its own in-flight decisions;
+// what a scrape can miss is requests still crossing the global hop at
+// snapshot time, an undercount bounded by rate × GlobalHop.
+func (t *tier) scheduleRefresh(eng *sim.Engine, every sim.Duration, scrape func(i int) int) {
+	if t.live {
 		return
 	}
 	var refresh func()
 	refresh = func() {
-		t.v.snapshot()
-		eng.Schedule(every, refresh)
-	}
-	eng.Schedule(every, refresh)
-}
-
-// scheduleScrape installs a periodic snapshot that refreshes the stale view
-// from an external depth source instead of the tier's own accounting — the
-// global tier scraping each rack balancer's published aggregate. Endpoints
-// dispatched to since the last scrape still count live (view.sent), so the
-// tier never forgets its own in-flight decisions; what the scrape can miss
-// is requests still crossing the global hop at snapshot time, an undercount
-// bounded by rate × GlobalHop.
-func (t *tier) scheduleScrape(eng *sim.Engine, every sim.Duration, depth func(i int) int) {
-	if t.v.live {
-		return
-	}
-	var refresh func()
-	refresh = func() {
-		t.v.snapshotFrom(depth)
+		if scrape == nil {
+			t.snapshot()
+		} else {
+			t.snapshotFrom(scrape)
+		}
 		eng.Schedule(every, refresh)
 	}
 	eng.Schedule(every, refresh)
