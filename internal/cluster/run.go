@@ -118,9 +118,9 @@ func (p *part) fail(err error) {
 // the pause windows that freeze it.
 type rack struct {
 	*tier
-	p           *part
-	start, size int
-	pauses      []machine.Pause
+	p      *part
+	start  int
+	pauses []machine.Pause
 }
 
 // nodeTracer adapts one node's machine-internal trace stream to the
@@ -161,19 +161,25 @@ type runner struct {
 	sampleN uint64
 	sink    func(trace.Event)
 
-	gaps                        *arrival.Batch
-	rec                         *metrics.Recorder
-	faults, rackFaults          []machine.Fault
-	seq                         uint64
-	totalOut, completed         int // totalOut: dispatched and not yet known complete
-	nodeCompleted, rackDone     []int
-	timedOut, halt              bool
+	// The front engine's bookkeeping. totalOut counts requests dispatched
+	// and not yet known to be complete.
+	gaps                         *arrival.Batch
+	rec                          *metrics.Recorder
+	faults, rackFaults           []machine.Fault
+	seq                          uint64
+	totalOut, completed          int
+	nodeCompleted, rackCompleted []int
+	timedOut, halt               bool
+
+	// Event callbacks, bound once so scheduling allocates no closures.
 	arriveFn                    func()
 	recvFn, injectFn, deliverFn func(any)
 	doneFn                      func(any, int, bool)
-	scratch                     []pdes.Msg[req]
-	backs                       []*pdes.Mailbox[req]
-	events                      []trace.Event
+
+	// Exchange scratch, reused every round.
+	scratch []pdes.Msg[req]
+	backs   []*pdes.Mailbox[req] // the node-side engines' outboxes
+	events  []trace.Event
 }
 
 // Run simulates the configured cluster and returns its measurements.
@@ -251,7 +257,7 @@ func newRunner(cfg Config) (*runner, error) {
 			pol = cfg.Policy.Clone()
 		}
 		rk := &rack{tier: newTier(pol, root.Split(), size[k], cfg.SampleEvery == 0),
-			p: r.front, start: start[k], size: size[k], pauses: rackPauses[k]}
+			p: r.front, start: start[k], pauses: rackPauses[k]}
 		if r.pt.atGlobal {
 			rk.p = r.parts[1+k]
 		}
@@ -310,7 +316,7 @@ func newRunner(cfg Config) (*runner, error) {
 	}
 
 	r.nodeCompleted = make([]int, cfg.Nodes)
-	r.rackDone = make([]int, len(size))
+	r.rackCompleted = make([]int, len(size))
 	r.rec = metrics.NewRecorder(metrics.Config{EpochNanos: cfg.Epoch.Nanos(), MaxEpochs: cfg.MaxEpochs, Expect: cfg.Measure})
 	if cfg.MaxSimTime > 0 {
 		r.front.eng.Schedule(cfg.MaxSimTime, func() {
@@ -396,8 +402,8 @@ func (r *runner) recv(arg any) {
 		return
 	}
 	local := rk.pick()
-	if local < 0 || local >= rk.size {
-		err := fmt.Errorf("cluster: policy %s picked node %d of %d", rk.pol, local, rk.size)
+	if local < 0 || local >= rk.Nodes() {
+		err := fmt.Errorf("cluster: policy %s picked node %d of %d", rk.pol, local, rk.Nodes())
 		if r.global != nil {
 			err = fmt.Errorf("%v in rack %d", err, q.rack)
 		}
@@ -484,7 +490,7 @@ func (r *runner) deliver(arg any) {
 	r.totalOut--
 	r.completed++
 	r.nodeCompleted[q.node]++
-	r.rackDone[q.rack]++
+	r.rackCompleted[q.rack]++
 	r.front.pool = append(r.front.pool, q)
 	if r.completed == r.cfg.Warmup+1 {
 		r.rec.OpenWindow(c)
@@ -629,7 +635,7 @@ func (r *runner) assemble() Result {
 		if cfg.GlobalPolicy != nil {
 			res.GlobalPolicy = cfg.GlobalPolicy.String()
 		}
-		res.RackCompleted = r.rackDone
+		res.RackCompleted = r.rackCompleted
 		for _, f := range r.rackFaults {
 			res.RackFaults = append(res.RackFaults, f.String())
 		}
