@@ -60,23 +60,23 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
 	"rpcvalet"
+	"rpcvalet/internal/cli"
 	"rpcvalet/internal/report"
 	"rpcvalet/internal/sim"
 )
 
 func main() {
+	f := cli.New("rpcvalet-cluster", "exp", "text", "csv", "json")
+	f.Sim(2000, 20000)
 	var (
 		nodes    = flag.Int("nodes", 4, "servers behind the balancer")
-		mode     = flag.String("mode", "1x16", "per-node dispatch mode: 1x16, 4x4, 16x1, sw")
-		dispatch = flag.String("dispatch", "", "dispatch plan(s), overriding -mode: one spec for all nodes, or a comma-separated per-node list")
-		wlName   = flag.String("workload", "exp", "workload: herd, masstree, fixed, uniform, exp, gev")
 		policies = flag.String("policies", strings.Join(rpcvalet.ClusterPolicies(), ","),
 			"comma-separated balancing policies (random, rr, jsqD, jsqfull, bounded)")
-		arrName  = flag.String("arrival", "poisson", "arrival process: poisson, det, mmpp2, lognormal")
 		points   = flag.Int("points", 8, "offered-load points per policy")
 		lo       = flag.Float64("lo", 0.3, "lowest load fraction of cluster capacity")
 		hi       = flag.Float64("hi", 0.9, "highest load fraction of cluster capacity")
@@ -86,192 +86,79 @@ func main() {
 		gpolName = flag.String("global-policy", "jsqfull", "global balancer policy over racks (used with -racks)")
 		ghop     = flag.Float64("global-hop", 500, "global balancer→rack balancer hop, ns (used with -racks)")
 		gsample  = flag.Float64("global-sample", 0, "global rack-depth scrape period, ns (0 = live; used with -racks)")
-		warmup   = flag.Int("warmup", 2000, "completions discarded before measuring")
-		measure  = flag.Int("measure", 20000, "completions measured per point")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		format   = flag.String("format", "text", "output format: text, csv, or json")
 		detail   = flag.Bool("detail", false, "also print throughput and imbalance tables")
-		modulate = flag.String("modulate", "", "aggregate rate envelope: step@AT:xF, pulse@START+DUR:xF, ramp@START+DUR:xF, square@PERIOD/HIGH:xF")
-		degrade  = flag.String("degrade", "", "per-node or per-rack faults: SCOPE:FAULT list, e.g. 0:x1.5;3:pause@500us+100us or rack0:x2")
-		epoch    = flag.String("epoch", "", "timeline epoch length (e.g. 25us; empty = auto)")
-		timeline = flag.Bool("timeline", false, "print the highest-load point's timelines (first policy)")
 		workers  = flag.Int("workers", 0, "concurrent simulations per sweep (0 = NumCPU)")
 		shards   = flag.Int("shards", 0, "parallel engine shards per simulation (0/1 = serial single-clock engine)")
-
-		tailK       = flag.Int("tail", 0, "retain the K slowest requests of the highest-load point (first policy) with cross-node span breakdowns")
-		traceSample = flag.Int("trace-sample", 0, "trace 1 in N requests (0/1 = every request; used with -trace-jsonl)")
-		traceJSONL  = flag.String("trace-jsonl", "", "write the highest-load point's sampled request spans as JSON lines to this file")
 	)
-	flag.Parse()
+	f.Parse()
 
-	params := rpcvalet.DefaultParams()
-	switch *mode {
-	case "1x16":
-		params.Mode = rpcvalet.ModeSingleQueue
-	case "4x4":
-		params.Mode = rpcvalet.ModeGrouped
-	case "16x1":
-		params.Mode = rpcvalet.ModePartitioned
-	case "sw":
-		params.Mode = rpcvalet.ModeSoftware
-	default:
-		fmt.Fprintf(os.Stderr, "rpcvalet-cluster: unknown mode %q\n", *mode)
-		os.Exit(2)
+	params, nodePlans := f.Params(*nodes)
+	wl := f.Profile()
+	base := rpcvalet.DefaultCluster(*nodes, wl, nil)
+	base.Node.Params = params
+	base.NodePlans = nodePlans
+	base.Faults = f.NodeFaults()
+	base.Epoch = f.EpochLen()
+	// The sweep re-rates the process to each point's aggregate rate.
+	base.Arrival = f.ArrivalAt(base.RateMRPS)
+	base.Hop = nanos(f, "hop", *hop)
+	base.SampleEvery = nanos(f, "sample", *sample)
+	gpol, err := rpcvalet.ClusterPolicyByName(*gpolName)
+	f.Check(2, err)
+	gh, gs := nanos(f, "global-hop", *ghop), nanos(f, "global-sample", *gsample)
+	if *racks > 0 {
+		base.Racks, base.GlobalPolicy, base.GlobalHop, base.GlobalSampleEvery = *racks, gpol, gh, gs
 	}
-
-	var nodePlans []*rpcvalet.DispatchPlan
-	if *dispatch != "" {
-		specs := strings.Split(*dispatch, ",")
-		plans := make([]*rpcvalet.DispatchPlan, len(specs))
-		for i, spec := range specs {
-			pl, err := rpcvalet.ParseDispatchPlan(strings.TrimSpace(spec))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-				os.Exit(2)
-			}
-			plans[i] = pl
-		}
-		switch len(plans) {
-		case 1:
-			params.Plan = plans[0]
-		case *nodes:
-			nodePlans = plans
-		default:
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %d dispatch plans for %d nodes (want 1 or %d)\n",
-				len(plans), *nodes, *nodes)
-			os.Exit(2)
-		}
-	}
-
-	var wl rpcvalet.Profile
-	switch *wlName {
-	case "herd":
-		wl = rpcvalet.HERD()
-	case "masstree":
-		wl = rpcvalet.Masstree()
-	default:
-		var err error
-		wl, err = rpcvalet.Synthetic(*wlName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
-	var faults []rpcvalet.NodeFault
-	if *degrade != "" {
-		var err error
-		if faults, err = rpcvalet.ParseNodeFaults(*degrade); err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	var env rpcvalet.Envelope
-	if *modulate != "" {
-		var err error
-		if env, err = rpcvalet.ParseEnvelope(*modulate); err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	var epochDur sim.Duration
-	if *epoch != "" {
-		var err error
-		if epochDur, err = sim.ParseDuration(*epoch); err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
+	base.Warmup = *f.Warmup
+	base.Measure = *f.Measure
+	base.Seed = *f.Seed
+	base.Shards = *shards
 	names := strings.Split(*policies, ",")
-	curves := make([]rpcvalet.ClusterCurve, 0, len(names))
-	var loads []float64
-	var capacity float64
-	var lastCfg rpcvalet.Cluster // first policy's config, for -timeline
-	for pi, name := range names {
-		name = strings.TrimSpace(name)
-		pol, err := rpcvalet.ClusterPolicyByName(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(2)
-		}
-		cfg := rpcvalet.DefaultCluster(*nodes, wl, pol)
-		cfg.Node.Params = params
-		cfg.NodePlans = nodePlans
-		cfg.Faults = faults
-		cfg.Epoch = epochDur
-		// The sweep re-rates the process to each point's aggregate rate.
-		cfg.Arrival, err = rpcvalet.ArrivalByName(*arrName, cfg.RateMRPS)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(2)
-		}
-		if env != nil {
-			cfg.Arrival = rpcvalet.ArrivalModulated(cfg.Arrival, env)
-		}
-		cfg.Hop = sim.FromNanos(*hop)
-		cfg.SampleEvery = sim.FromNanos(*sample)
-		if *racks > 0 {
-			cfg.Racks = *racks
-			cfg.GlobalPolicy, err = rpcvalet.ClusterPolicyByName(*gpolName)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-				os.Exit(2)
-			}
-			cfg.GlobalHop = sim.FromNanos(*ghop)
-			cfg.GlobalSampleEvery = sim.FromNanos(*gsample)
-		}
-		cfg.Warmup = *warmup
-		cfg.Measure = *measure
-		cfg.Seed = *seed
-		cfg.Shards = *shards
-		capacity = rpcvalet.ClusterCapacityMRPS(cfg)
-		if loads == nil {
-			loads = fractions(*lo, *hi, *points)
-		}
-		rates := make([]float64, len(loads))
-		for i, f := range loads {
-			rates[i] = f * capacity
-		}
-		curve, err := rpcvalet.ClusterSweepWorkers(cfg, rates, name, *workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(1)
-		}
-		curves = append(curves, curve)
-		if pi == 0 {
-			lastCfg = cfg
-			lastCfg.RateMRPS = rates[len(rates)-1]
-		}
+	pols := make([]rpcvalet.ClusterPolicy, len(names))
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+		pols[i], err = rpcvalet.ClusterPolicyByName(names[i])
+		f.Check(2, err)
 	}
 
-	dispLabel := *mode
-	if *dispatch != "" {
-		dispLabel = *dispatch
+	capacity := rpcvalet.ClusterCapacityMRPS(base)
+	loads := fractions(*lo, *hi, *points)
+	rates := make([]float64, len(loads))
+	for i, l := range loads {
+		rates[i] = l * capacity
+	}
+	curves := make([]rpcvalet.ClusterCurve, len(pols))
+	for i, pol := range pols {
+		cfg := base
+		cfg.Policy = pol
+		curves[i], err = rpcvalet.ClusterSweepWorkers(cfg, rates, names[i], *workers)
+		f.Check(1, err)
+	}
+
+	dispLabel := *f.Mode
+	if *f.Dispatch != "" {
+		dispLabel = *f.Dispatch
 	}
 	topo := ""
 	if *racks > 0 {
 		topo = fmt.Sprintf(" in %d racks (%s global, %.0f ns global hop)", *racks, *gpolName, *ghop)
 	}
 	fmt.Printf("# cluster: %d × %s nodes%s, %s workload, capacity ≈ %.1f MRPS, hop %.0f ns, seed %d\n\n",
-		*nodes, dispLabel, topo, wl.Name, capacity, *hop, *seed)
+		*nodes, dispLabel, topo, wl.Name, capacity, *hop, *f.Seed)
 	emit := func(title string, value func(rpcvalet.ClusterPoint) float64) {
 		cols := []string{"load", "rate_mrps"}
 		for _, c := range curves {
 			cols = append(cols, c.Label)
 		}
 		tbl := report.NewTable(title, cols...)
-		for i, f := range loads {
-			row := []any{f, curves[0].Points[i].RateMRPS}
+		for i, l := range loads {
+			row := []any{l, curves[0].Points[i].RateMRPS}
 			for _, c := range curves {
 				row = append(row, value(c.Points[i]))
 			}
 			tbl.AddRowf(row...)
 		}
-		if err := tbl.Format(os.Stdout, *format); err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(1)
-		}
+		f.Check(1, tbl.Format(os.Stdout, *f.Format))
 		fmt.Println()
 	}
 	emit("p99 latency (ns) by policy", func(p rpcvalet.ClusterPoint) float64 { return p.P99 })
@@ -280,60 +167,45 @@ func main() {
 		emit("completion imbalance (max/mean) by policy", func(p rpcvalet.ClusterPoint) float64 { return p.Imbalance })
 	}
 
-	if *timeline || *tailK > 0 || *traceJSONL != "" {
-		// One extra run of the highest-load point, first policy, with the
-		// requested instrumentation. The balancing policy may be stateful
-		// (round-robin rotation, bounded-load counters), so give the rerun a
-		// fresh instance rather than the swept one.
-		lastCfg.Policy = lastCfg.Policy.Clone()
-		lastCfg.TailSamples = *tailK
-		var collector *rpcvalet.TraceCollector
-		if *traceJSONL != "" {
-			collector = rpcvalet.NewTraceCollector()
-			lastCfg.Trace = collector
-			lastCfg.TraceSample = *traceSample
-		}
-		res, err := rpcvalet.RunCluster(lastCfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-			os.Exit(1)
-		}
-		if collector != nil {
-			f, err := os.Create(*traceJSONL)
-			if err == nil {
-				if err = rpcvalet.WriteSpansJSONL(f, collector.Spans()); err == nil {
-					err = f.Close()
-				} else {
-					f.Close()
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rpcvalet-cluster: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *tailK > 0 {
-			fmt.Printf("# slowest requests: policy %s at %.1f MRPS\n\n", curves[0].Label, lastCfg.RateMRPS)
-			if err := report.SpanTable("slowest requests", res.TailSpans).WriteText(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println()
-		}
-		if !*timeline {
-			return
-		}
-		fmt.Printf("# timelines: policy %s at %.1f MRPS\n\n", curves[0].Label, lastCfg.RateMRPS)
-		fmt.Println(report.TimelineSpark(res.Timeline))
-		fmt.Println()
-		if err := report.TimelineTable("aggregate timeline", res.Timeline).WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		for i, tl := range res.NodeTimelines {
-			fmt.Printf("\nnode %d (%s, %s): %s\n", i, res.NodeDispatch[i], res.NodeFaults[i], report.TimelineSpark(tl))
-		}
+	if !*f.Timeline && *f.Tail == 0 && *f.TraceJSONL == "" {
+		return
 	}
+	// One extra run of the highest-load point, first policy, with the
+	// requested instrumentation. The balancing policy may be stateful
+	// (round-robin rotation, bounded-load counters), so give the rerun a
+	// fresh instance rather than the swept one.
+	cfg := base
+	cfg.Policy = pols[0].Clone()
+	cfg.RateMRPS = rates[len(rates)-1]
+	cfg.TailSamples = *f.Tail
+	cfg.Trace, cfg.TraceSample = f.Trace(), *f.TraceSample
+	res, err := rpcvalet.RunCluster(cfg)
+	f.Check(1, err)
+	f.Check(1, f.WriteSpans())
+	if *f.Tail > 0 {
+		fmt.Printf("# slowest requests: policy %s at %.1f MRPS\n\n", names[0], cfg.RateMRPS)
+		f.Check(1, report.SpanTable("slowest requests", res.TailSpans).WriteText(os.Stdout))
+		fmt.Println()
+	}
+	if !*f.Timeline {
+		return
+	}
+	fmt.Printf("# timelines: policy %s at %.1f MRPS\n\n", names[0], cfg.RateMRPS)
+	fmt.Println(report.TimelineSpark(res.Timeline))
+	fmt.Println()
+	f.Check(1, report.TimelineTable("aggregate timeline", res.Timeline).WriteText(os.Stdout))
+	for i, tl := range res.NodeTimelines {
+		fmt.Printf("\nnode %d (%s, %s): %s\n", i, res.NodeDispatch[i], res.NodeFaults[i], report.TimelineSpark(tl))
+	}
+}
+
+// nanos converts the nanosecond flag -name to a Duration, rejecting what
+// sim.FromNanos would clamp to zero or overflow.
+func nanos(f *cli.Flags, name string, ns float64) sim.Duration {
+	if !(ns >= 0 && ns*float64(sim.Nanosecond) < math.MaxInt64) {
+		f.Check(2, fmt.Errorf("-%s %v: want a non-negative nanosecond count within the clock's range", name, ns))
+	}
+	return sim.FromNanos(ns)
 }
 
 // fractions builds n evenly spaced load fractions in [lo, hi].

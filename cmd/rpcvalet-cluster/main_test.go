@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current command")
@@ -29,7 +31,8 @@ func TestMain(m *testing.M) {
 
 // TestGolden pins the command's surface: every flag's name, type and
 // default (-h, usage prose excluded), the stdout and trace-JSONL bytes of
-// small fixed runs, and the stderr and exit code of rejected invocations.
+// small fixed runs, and the stderr and exit code of rejected invocations
+// (the bad_* rows).
 // Rewrite the goldens with go test -run TestGolden -update.
 func TestGolden(t *testing.T) {
 	for _, tc := range []struct {
@@ -55,6 +58,13 @@ func TestGolden(t *testing.T) {
 		{"bad_modulate", false, []string{"-modulate", "bogus"}},
 		{"bad_degrade", false, []string{"-degrade", "bogus"}},
 		{"bad_epoch", false, []string{"-epoch", "bogus"}},
+		{"bad_format", false, []string{"-format", "yaml", "-points", "2", "-measure", "500", "-warmup", "50"}},
+		{"bad_hop_negative", false, []string{"-hop", "-5", "-points", "2", "-measure", "500", "-warmup", "50"}},
+		{"bad_hop_nan", false, []string{"-hop", "NaN"}},
+		{"bad_sample_inf", false, []string{"-sample", "Inf"}},
+		{"bad_global_hop_huge", false, []string{"-racks", "2", "-global-hop", "1e30"}},
+		{"bad_global_sample_negative", false, []string{"-global-sample", "-1", "-points", "2", "-measure", "500", "-warmup", "50"}},
+		{"bad_global_policy", false, []string{"-global-policy", "bogus", "-points", "2", "-measure", "500", "-warmup", "50"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkGolden(t, tc.name, tc.trace, tc.args)
@@ -72,7 +82,7 @@ func checkGolden(t *testing.T, name string, trace bool, args []string) {
 		got += " -trace-jsonl spans.jsonl"
 		args = append(args, "-trace-jsonl", spans)
 	}
-	stdout, stderr, code := runMain(t, args...)
+	stdout, stderr, code := runMain(t, name, args...)
 	got += "\nexit " + strconv.Itoa(code) + "\n"
 	if len(args) == 1 && args[0] == "-h" {
 		got += "--- flags\n" + flagTable(stderr)
@@ -105,16 +115,25 @@ func checkGolden(t *testing.T, name string, trace bool, args []string) {
 	}
 }
 
-// runMain re-executes the test binary as the command.
-func runMain(t *testing.T, args ...string) (stdout, stderr string, code int) {
+// runMain re-executes the test binary as the command. A rejected
+// invocation (a bad_* row) must exit within five seconds.
+func runMain(t *testing.T, name string, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
+	limit := time.Minute
+	if strings.HasPrefix(name, "bad_") {
+		limit = 5 * time.Second
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), limit)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "RPCVALET_RUN_MAIN=1")
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
+	case ctx.Err() != nil:
+		t.Fatalf("%s did not exit within %v", strings.Join(args, " "), limit)
 	case errors.As(err, &exit):
 		code = exit.ExitCode()
 	case err != nil:

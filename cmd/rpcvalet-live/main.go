@@ -30,131 +30,76 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"rpcvalet"
+	"rpcvalet/internal/cli"
 	"rpcvalet/internal/live"
 	"rpcvalet/internal/report"
 )
 
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "rpcvalet-live: %v\n", err)
-	os.Exit(2)
-}
-
 func main() {
+	f := cli.New("rpcvalet-live", "gev", "text", "json")
 	var (
-		plans    = flag.String("plan", "1x16,jbsq2,16x1", "comma-separated dispatch plans: 1x16|sw|16x1|jbsqN")
-		wlName   = flag.String("workload", "gev", "workload: herd, masstree, fixed, uniform, exp, gev")
+		planList = flag.String("plan", "1x16,jbsq2,16x1", "comma-separated dispatch plans: 1x16|sw|16x1|jbsqN")
 		rate     = flag.Float64("rate", 0, "offered load in MRPS (0 = 65% of estimated live capacity)")
 		duration = flag.Duration("duration", time.Second, "offered-load window per plan (wall clock)")
 		workers  = flag.Int("workers", 0, "serving goroutines (0 = 8)")
 		emu      = flag.String("emulation", "auto", "service emulation: auto, spin, sleep")
 		scale    = flag.Float64("scale", 0, "service-time multiplier (0 = emulation's recommended lift)")
-		seed     = flag.Uint64("seed", 1, "offered-schedule seed")
-		format   = flag.String("format", "text", "output format: text or json")
-		timeline = flag.Bool("timeline", false, "print each plan's epoch-sliced timeline (text format)")
-
-		obsAddr     = flag.String("obs", "", "serve /metrics, /healthz, /debug/pprof on this address (e.g. :9090) while runs are in flight")
-		tailK       = flag.Int("tail", 0, "retain each plan's K slowest requests with span breakdowns")
-		traceSample = flag.Int("trace-sample", 0, "trace 1 in N requests (0/1 = every request; used with -trace-jsonl)")
-		traceJSONL  = flag.String("trace-jsonl", "", "append sampled request spans as JSON lines to this file")
+		obsAddr  = flag.String("obs", "", "serve /metrics, /healthz, /debug/pprof on this address (e.g. :9090) while runs are in flight")
 	)
-	flag.Parse()
+	f.Parse()
 
-	var wl rpcvalet.Profile
-	switch *wlName {
-	case "herd":
-		wl = rpcvalet.HERD()
-	case "masstree":
-		wl = rpcvalet.Masstree()
-	default:
-		var err error
-		if wl, err = rpcvalet.Synthetic(*wlName); err != nil {
-			fail(err)
-		}
-	}
+	wl := f.Profile()
 	em, err := live.ParseEmulation(*emu)
-	if err != nil {
-		fail(err)
-	}
-	if *format != "text" && *format != "json" {
-		fail(fmt.Errorf("unknown format %q (want text or json)", *format))
-	}
+	f.Check(2, err)
+	plans, err := cli.Plans(*planList)
+	f.Check(2, err)
 
 	base := rpcvalet.LiveConfig{
 		Workload:     wl,
 		Workers:      *workers,
 		Duration:     *duration,
-		Seed:         *seed,
+		Seed:         *f.Seed,
 		ServiceScale: *scale,
 		Emulation:    em,
+		RateMRPS:     *rate,
+		TailSamples:  *f.Tail,
+		TraceSample:  *f.TraceSample,
 	}
-	base.RateMRPS = *rate
 	if base.RateMRPS <= 0 {
 		base.RateMRPS = 0.65 * rpcvalet.LiveCapacityMRPS(base)
 	}
-	base.TailSamples = *tailK
 
 	var reg *rpcvalet.ObsRegistry
 	if *obsAddr != "" {
 		reg = rpcvalet.NewObsRegistry()
 		srv, err := rpcvalet.ServeObs(*obsAddr, reg, nil)
-		if err != nil {
-			fail(err)
-		}
+		f.Check(2, err)
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "rpcvalet-live: observability on http://%s (/metrics, /healthz, /debug/pprof)\n", srv.Addr())
 	}
-	var jsonl *os.File
-	if *traceJSONL != "" {
-		var err error
-		if jsonl, err = os.Create(*traceJSONL); err != nil {
-			fail(err)
-		}
-		defer jsonl.Close()
-	}
 
 	var results []rpcvalet.LiveResult
-	for _, spec := range strings.Split(*plans, ",") {
-		pl, err := rpcvalet.ParseDispatchPlan(strings.TrimSpace(spec))
-		if err != nil {
-			fail(err)
-		}
+	for _, pl := range plans {
 		cfg := base
 		cfg.Plan = pl
 		if reg != nil {
 			cfg.Obs = rpcvalet.NewObsRunMetrics(reg, rpcvalet.ObsLabels{"plan": pl.Name})
 		}
-		var collector *rpcvalet.TraceCollector
-		if jsonl != nil {
-			collector = rpcvalet.NewTraceCollector()
-			cfg.Trace = collector
-			cfg.TraceSample = *traceSample
-		}
+		cfg.Trace = f.Trace()
 		res, err := rpcvalet.RunLive(cfg)
-		if err != nil {
-			fail(err)
-		}
-		if collector != nil {
-			if err := rpcvalet.WriteSpansJSONL(jsonl, collector.Spans()); err != nil {
-				fail(err)
-			}
-		}
+		f.Check(2, err)
 		results = append(results, res)
 	}
+	f.Check(2, f.WriteSpans())
 
-	if *format == "json" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			fail(err)
-		}
+	if *f.Format == "json" {
+		f.Check(2, cli.JSON(results))
 		return
 	}
 
@@ -172,25 +117,19 @@ func main() {
 		tbl.AddRowf(r.Plan, r.Completed, r.Dropped, r.ThroughputMRPS,
 			r.Latency.P50, r.Latency.P99, r.Latency.P999, r.ServiceMeanNanos, r.SLONanos, r.MeetsSLO)
 	}
-	if err := tbl.WriteText(os.Stdout); err != nil {
-		fail(err)
-	}
+	f.Check(2, tbl.WriteText(os.Stdout))
 
-	if *tailK > 0 {
+	if *f.Tail > 0 {
 		for _, r := range results {
 			fmt.Println()
-			if err := report.SpanTable(r.Plan+" slowest requests", r.TailSpans).WriteText(os.Stdout); err != nil {
-				fail(err)
-			}
+			f.Check(2, report.SpanTable(r.Plan+" slowest requests", r.TailSpans).WriteText(os.Stdout))
 		}
 	}
 
-	if *timeline {
+	if *f.Timeline {
 		for _, r := range results {
 			fmt.Printf("\n%s p99 %s\n", r.Plan, report.TimelineSpark(r.Timeline))
-			if err := report.TimelineTable(r.Plan+" timeline", r.Timeline).WriteText(os.Stdout); err != nil {
-				fail(err)
-			}
+			f.Check(2, report.TimelineTable(r.Plan+" timeline", r.Timeline).WriteText(os.Stdout))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current command")
@@ -29,7 +31,7 @@ func TestMain(m *testing.M) {
 
 // TestGolden pins the command's surface: every flag's name, type and
 // default (-h, usage prose excluded) and the stderr and exit code of
-// rejected invocations. Live latencies are wall-clock measurements, so no
+// rejected invocations (the bad_* rows). Live latencies are wall-clock measurements, so no
 // run's output is pinned.
 // Rewrite the goldens with go test -run TestGolden -update.
 func TestGolden(t *testing.T) {
@@ -43,6 +45,7 @@ func TestGolden(t *testing.T) {
 		{"bad_plan", false, []string{"-plan", "bogus"}},
 		{"bad_emulation", false, []string{"-emulation", "bogus"}},
 		{"bad_workload", false, []string{"-workload", "bogus"}},
+		{"bad_rate_inf", false, []string{"-plan", "1x16", "-emulation", "sleep", "-duration", "50ms", "-rate", "Inf"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkGolden(t, tc.name, tc.trace, tc.args)
@@ -60,7 +63,7 @@ func checkGolden(t *testing.T, name string, trace bool, args []string) {
 		got += " -trace-jsonl spans.jsonl"
 		args = append(args, "-trace-jsonl", spans)
 	}
-	stdout, stderr, code := runMain(t, args...)
+	stdout, stderr, code := runMain(t, name, args...)
 	got += "\nexit " + strconv.Itoa(code) + "\n"
 	if len(args) == 1 && args[0] == "-h" {
 		got += "--- flags\n" + flagTable(stderr)
@@ -93,16 +96,25 @@ func checkGolden(t *testing.T, name string, trace bool, args []string) {
 	}
 }
 
-// runMain re-executes the test binary as the command.
-func runMain(t *testing.T, args ...string) (stdout, stderr string, code int) {
+// runMain re-executes the test binary as the command. A rejected
+// invocation (a bad_* row) must exit within five seconds.
+func runMain(t *testing.T, name string, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
+	limit := time.Minute
+	if strings.HasPrefix(name, "bad_") {
+		limit = 5 * time.Second
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), limit)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "RPCVALET_RUN_MAIN=1")
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
+	case ctx.Err() != nil:
+		t.Fatalf("%s did not exit within %v", strings.Join(args, " "), limit)
 	case errors.As(err, &exit):
 		code = exit.ExitCode()
 	case err != nil:

@@ -35,156 +35,47 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 
 	"rpcvalet"
+	"rpcvalet/internal/cli"
 	"rpcvalet/internal/report"
-	"rpcvalet/internal/sim"
 )
 
 func main() {
-	var (
-		mode      = flag.String("mode", "1x16", "load-balancing mode: 1x16, 4x4, 16x1, sw")
-		dispatch  = flag.String("dispatch", "", "dispatch plan (overrides -mode): 1x16|4x4|16x1|sw|jbsqN|GxM[:policy]")
-		wlName    = flag.String("workload", "herd", "workload: herd, masstree, fixed, uniform, exp, gev")
-		rate      = flag.Float64("rate", 10, "offered load in MRPS")
-		arrName   = flag.String("arrival", "poisson", "arrival process: poisson, det, mmpp2, lognormal")
-		warmup    = flag.Int("warmup", 5000, "completions discarded before measuring")
-		measure   = flag.Int("measure", 50000, "completions measured")
-		threshold = flag.Int("threshold", 2, "outstanding requests per core")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		format    = flag.String("format", "text", "output format: text or json")
-		modulate  = flag.String("modulate", "", "rate envelope: step@AT:xF, pulse@START+DUR:xF, ramp@START+DUR:xF, square@PERIOD/HIGH:xF")
-		degrade   = flag.String("degrade", "", "machine fault: x<factor> slowdown and/or pause@START+DUR, comma-separated")
-		epoch     = flag.String("epoch", "", "timeline epoch length (e.g. 25us; empty = auto)")
-		timeline  = flag.Bool("timeline", false, "print the epoch-sliced timeline (text format only; json output always embeds it as Timeline)")
+	f := cli.New("rpcvalet-sim", "herd", "text", "json")
+	f.Sim(5000, 50000)
+	rate := flag.Float64("rate", 10, "offered load in MRPS")
+	threshold := flag.Int("threshold", 2, "outstanding requests per core")
+	f.Parse()
 
-		tailK       = flag.Int("tail", 0, "retain the K slowest requests with span breakdowns")
-		traceSample = flag.Int("trace-sample", 0, "trace 1 in N requests (0/1 = every request; used with -trace-jsonl)")
-		traceJSONL  = flag.String("trace-jsonl", "", "write sampled request spans as JSON lines to this file")
-	)
-	flag.Parse()
-
-	params := rpcvalet.DefaultParams()
-	switch *mode {
-	case "1x16":
-		params.Mode = rpcvalet.ModeSingleQueue
-	case "4x4":
-		params.Mode = rpcvalet.ModeGrouped
-	case "16x1":
-		params.Mode = rpcvalet.ModePartitioned
-	case "sw":
-		params.Mode = rpcvalet.ModeSoftware
-	default:
-		fmt.Fprintf(os.Stderr, "rpcvalet-sim: unknown mode %q\n", *mode)
-		os.Exit(2)
-	}
+	params, _ := f.Params(1)
 	params.Threshold = *threshold
-	if *dispatch != "" {
-		pl, err := rpcvalet.ParseDispatchPlan(*dispatch)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(2)
-		}
-		params.Plan = pl
-	}
-
-	var wl rpcvalet.Profile
-	switch *wlName {
-	case "herd":
-		wl = rpcvalet.HERD()
-	case "masstree":
-		wl = rpcvalet.Masstree()
-	default:
-		var err error
-		wl, err = rpcvalet.Synthetic(*wlName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
-	arr, err := rpcvalet.ArrivalByName(*arrName, *rate)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-		os.Exit(2)
-	}
-	if *modulate != "" {
-		env, err := rpcvalet.ParseEnvelope(*modulate)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(2)
-		}
-		arr = rpcvalet.ArrivalModulated(arr, env)
-	}
-
+	flt := f.Fault()
 	cfg := rpcvalet.Config{
-		Params:   params,
-		Workload: wl,
-		RateMRPS: *rate,
-		Arrival:  arr,
-		Warmup:   *warmup,
-		Measure:  *measure,
-		Seed:     *seed,
-	}
-	if *degrade != "" {
-		f, err := rpcvalet.ParseFault(*degrade)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Slowdown = f.Slowdown
-		cfg.Pauses = f.Pauses
-	}
-	if *epoch != "" {
-		d, err := sim.ParseDuration(*epoch)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Epoch = d
-	}
-	cfg.TailSamples = *tailK
-	var collector *rpcvalet.TraceCollector
-	if *traceJSONL != "" {
-		collector = rpcvalet.NewTraceCollector()
-		cfg.Trace = collector
-		cfg.TraceSample = *traceSample
+		Params:      params,
+		Workload:    f.Profile(),
+		RateMRPS:    *rate,
+		Arrival:     f.ArrivalAt(*rate),
+		Warmup:      *f.Warmup,
+		Measure:     *f.Measure,
+		Seed:        *f.Seed,
+		Slowdown:    flt.Slowdown,
+		Pauses:      flt.Pauses,
+		Epoch:       f.EpochLen(),
+		TailSamples: *f.Tail,
+		Trace:       f.Trace(),
+		TraceSample: *f.TraceSample,
 	}
 
 	res, err := rpcvalet.Run(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-		os.Exit(1)
-	}
-	if collector != nil {
-		f, err := os.Create(*traceJSONL)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := rpcvalet.WriteSpansJSONL(f, collector.Spans()); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	if *format == "json" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fmt.Fprintf(os.Stderr, "rpcvalet-sim: %v\n", err)
-			os.Exit(1)
-		}
+	f.Check(1, err)
+	f.Check(1, f.WriteSpans())
+	if *f.Format == "json" {
+		f.Check(1, cli.JSON(res))
 		return
 	}
 
@@ -201,10 +92,7 @@ func main() {
 	sum.AddRowf("blocked arrivals", res.BlockedArrivals)
 	sum.AddRowf("reply stalls", res.ReplyStalls)
 	sum.AddRowf("timed out", res.TimedOut)
-	if err := sum.WriteText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	f.Check(1, sum.WriteText(os.Stdout))
 	fmt.Println()
 
 	lat := report.NewTable("latency (ns)", "class", "count", "mean", "p50", "p99", "p99.9", "max")
@@ -219,10 +107,7 @@ func main() {
 		s := res.ClassLatency[name]
 		lat.AddRowf(name, s.Count, s.Mean, s.P50, s.P99, s.P999, s.Max)
 	}
-	if err := lat.WriteText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	f.Check(1, lat.WriteText(os.Stdout))
 	fmt.Println()
 
 	util := report.NewTable("utilization", "unit", "busy fraction")
@@ -232,26 +117,17 @@ func main() {
 	for i, u := range res.BackendUtilization {
 		util.AddRowf(fmt.Sprintf("backend %d", i), u)
 	}
-	if err := util.WriteText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	f.Check(1, util.WriteText(os.Stdout))
 
-	if *tailK > 0 {
+	if *f.Tail > 0 {
 		fmt.Println()
-		if err := report.SpanTable("slowest requests", res.TailSpans).WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		f.Check(1, report.SpanTable("slowest requests", res.TailSpans).WriteText(os.Stdout))
 	}
 
-	if *timeline {
+	if *f.Timeline {
 		fmt.Println()
 		fmt.Println(report.TimelineSpark(res.Timeline))
 		fmt.Println()
-		if err := report.TimelineTable("timeline", res.Timeline).WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		f.Check(1, report.TimelineTable("timeline", res.Timeline).WriteText(os.Stdout))
 	}
 }
