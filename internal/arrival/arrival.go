@@ -94,12 +94,12 @@ func ResolvePerNs(p Process, lambdaPerNs float64) Process {
 	return Fresh(AtMRPS(p, lambdaPerNs*1000))
 }
 
-// checkRate rejects rates that would produce a degenerate process — a zero
-// or negative rate yields infinite or NaN gaps, which would spin the
-// simulation forever at virtual time zero.
+// checkRate rejects rates that would produce a degenerate process — a zero,
+// negative or infinite rate yields infinite, NaN or zero gaps, which would
+// spin the simulation forever at virtual time zero.
 func checkRate(what string, rate float64) {
-	if !(rate > 0) {
-		panic(fmt.Sprintf("arrival: %s rate %g must be positive", what, rate))
+	if !(rate > 0 && rate <= math.MaxFloat64) {
+		panic(fmt.Sprintf("arrival: %s rate %g must be positive and finite", what, rate))
 	}
 }
 
@@ -223,7 +223,7 @@ type MMPP2 struct {
 // positive; rateMRPS is apportioned so the long-run mean rate is exact:
 // rate = (CalmRate·CalmDwell + BurstRate·BurstDwell)/(CalmDwell+BurstDwell).
 func NewMMPP2(rateMRPS, burstRatio, calmDwellNanos, burstDwellNanos float64) *MMPP2 {
-	if !(rateMRPS > 0) || burstRatio < 1 || !(calmDwellNanos > 0) || !(burstDwellNanos > 0) {
+	if !(rateMRPS > 0 && rateMRPS <= math.MaxFloat64) || burstRatio < 1 || !(calmDwellNanos > 0) || !(burstDwellNanos > 0) {
 		panic(fmt.Sprintf("arrival: invalid MMPP2(rate=%g, ratio=%g, dwells=%g/%g)",
 			rateMRPS, burstRatio, calmDwellNanos, burstDwellNanos))
 	}
@@ -325,8 +325,8 @@ var Names = []string{"poisson", "det", "mmpp2", "lognormal"}
 // the package's default shape parameters: "poisson", "det" (or
 // "deterministic"), "mmpp2", "lognormal".
 func ByName(name string, rateMRPS float64) (Process, error) {
-	if !(rateMRPS > 0) {
-		return nil, fmt.Errorf("arrival: rate %g MRPS must be positive", rateMRPS)
+	if !(rateMRPS > 0 && rateMRPS <= math.MaxFloat64) {
+		return nil, fmt.Errorf("arrival: rate %g MRPS must be positive and finite", rateMRPS)
 	}
 	switch name {
 	case "poisson":

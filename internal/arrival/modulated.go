@@ -33,8 +33,8 @@ type Envelope interface {
 }
 
 func checkFactor(what string, f float64) {
-	if !(f > 0) {
-		panic(fmt.Sprintf("arrival: %s factor %g must be positive", what, f))
+	if !(f > 0 && f <= math.MaxFloat64) {
+		panic(fmt.Sprintf("arrival: %s factor %g must be positive and finite", what, f))
 	}
 }
 
@@ -342,7 +342,7 @@ func ParseEnvelope(spec string) (Envelope, error) {
 		return nil, fmt.Errorf("arrival: envelope %q missing \":x<factor>\"", spec)
 	}
 	factor, err := strconv.ParseFloat(factorStr[1:], 64)
-	if err != nil || !(factor > 0) {
+	if err != nil || !(factor > 0 && factor <= math.MaxFloat64) {
 		return nil, fmt.Errorf("arrival: bad envelope factor %q", factorStr)
 	}
 	dur := func(s string) (float64, error) {

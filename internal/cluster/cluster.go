@@ -18,6 +18,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -203,8 +204,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("cluster: need at least one node, got %d", c.Nodes)
 	case c.Policy == nil:
 		return fmt.Errorf("cluster: nil policy")
-	case !(c.RateMRPS > 0):
-		return fmt.Errorf("cluster: rate %v MRPS must be positive", c.RateMRPS)
+	case !(c.RateMRPS > 0 && c.RateMRPS <= math.MaxFloat64):
+		return fmt.Errorf("cluster: rate %v MRPS must be positive and finite", c.RateMRPS)
 	case c.Measure <= 0:
 		return fmt.Errorf("cluster: Measure must be positive")
 	case c.Warmup < 0:

@@ -36,6 +36,7 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"time"
@@ -91,8 +92,8 @@ const (
 	EmulationSpin
 	// EmulationSleep parks the goroutine on a timer. Queueing dynamics stay
 	// real wall-clock while service consumes no CPU, which is the only
-	// honest option when workers outnumber cores (the repo's livebalancer
-	// example documents the starvation trap this avoids).
+	// honest option when workers outnumber cores: spinning workers would
+	// starve each other, and the run would measure the Go scheduler.
 	EmulationSleep
 )
 
@@ -371,8 +372,8 @@ func (c Config) validate() (Shape, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if !(c.RateMRPS > 0) && c.Arrival == nil {
-		return 0, 0, fmt.Errorf("live: rate %v MRPS must be positive", c.RateMRPS)
+	if !(c.RateMRPS > 0) && c.Arrival == nil || math.IsInf(c.RateMRPS, 1) {
+		return 0, 0, fmt.Errorf("live: rate %v MRPS must be positive and finite", c.RateMRPS)
 	}
 	if c.Duration <= 0 {
 		return 0, 0, fmt.Errorf("live: duration %v must be positive", c.Duration)

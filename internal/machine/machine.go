@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"rpcvalet/internal/arrival"
 	"rpcvalet/internal/fifo"
@@ -208,8 +209,8 @@ func (c Config) validate() error {
 		return err
 	}
 	switch {
-	case !(c.RateMRPS > 0) && c.Arrival == nil:
-		return fmt.Errorf("machine: rate %v MRPS must be positive", c.RateMRPS)
+	case !(c.RateMRPS > 0) && c.Arrival == nil, math.IsInf(c.RateMRPS, 1):
+		return fmt.Errorf("machine: rate %v MRPS must be positive and finite", c.RateMRPS)
 	case c.Measure <= 0:
 		return fmt.Errorf("machine: Measure must be positive")
 	case c.Warmup < 0:
