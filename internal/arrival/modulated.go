@@ -74,7 +74,7 @@ func (e Step) Advance(t, area float64) float64 {
 
 func (e Step) Name() string { return "step" }
 
-func (e Step) String() string { return fmt.Sprintf("step@%gns:x%g", e.AtNanos, e.Factor) }
+func (e Step) String() string { return fmt.Sprintf("step@%s:x%g", nanos(e.AtNanos), e.Factor) }
 
 // --- Pulse ------------------------------------------------------------------
 
@@ -128,7 +128,7 @@ func (e Pulse) Advance(t, area float64) float64 {
 func (e Pulse) Name() string { return "pulse" }
 
 func (e Pulse) String() string {
-	return fmt.Sprintf("pulse@%gns+%gns:x%g", e.StartNanos, e.DurNanos, e.Factor)
+	return fmt.Sprintf("pulse@%s+%s:x%g", nanos(e.StartNanos), nanos(e.DurNanos), e.Factor)
 }
 
 // --- Ramp -------------------------------------------------------------------
@@ -202,7 +202,7 @@ func (e Ramp) Advance(t, area float64) float64 {
 func (e Ramp) Name() string { return "ramp" }
 
 func (e Ramp) String() string {
-	return fmt.Sprintf("ramp@%gns+%gns:x%g", e.StartNanos, e.DurNanos, e.Factor)
+	return fmt.Sprintf("ramp@%s+%s:x%g", nanos(e.StartNanos), nanos(e.DurNanos), e.Factor)
 }
 
 // --- SquareWave ---------------------------------------------------------
@@ -265,8 +265,13 @@ func (e SquareWave) Advance(t, area float64) float64 {
 func (e SquareWave) Name() string { return "square" }
 
 func (e SquareWave) String() string {
-	return fmt.Sprintf("square@%gns/%gns:x%g", e.PeriodNanos, e.HighNanos, e.Factor)
+	return fmt.Sprintf("square@%s/%s:x%g", nanos(e.PeriodNanos), nanos(e.HighNanos), e.Factor)
 }
+
+// nanos prints a span as plain decimal nanoseconds, so a parsed envelope
+// prints back to itself: never in exponent notation, whose "+" would
+// collide with the pulse and ramp separator.
+func nanos(ns float64) string { return strconv.FormatFloat(ns, 'f', -1, 64) + "ns" }
 
 // mod wraps math.Mod for positive operands.
 func mod(a, b float64) float64 { return math.Mod(a, b) }
@@ -325,6 +330,11 @@ func (p *Modulated) fresh() Process {
 	return &Modulated{Base: Fresh(p.Base), Env: p.Env}
 }
 
+// maxSpan (2^53 ps, about 2.5 hours) is the longest envelope span whose
+// picoseconds a float64 nanosecond count still holds exactly; past it a
+// parsed envelope would not print back to itself.
+const maxSpan = sim.Duration(1 << 53)
+
 // ParseEnvelope parses the CLI -modulate grammar (durations follow
 // sim.ParseDuration — "50us", "1.5ms", bare ns):
 //
@@ -332,6 +342,8 @@ func (p *Modulated) fresh() Process {
 //	pulse@START+DUR:xF  e.g. pulse@400us+200us:x2
 //	ramp@START+DUR:xF   e.g. ramp@100us+500us:x3
 //	square@PERIOD/HIGH:xF e.g. square@200us/50us:x2.5
+//
+// Spans past maxSpan are rejected.
 func ParseEnvelope(spec string) (Envelope, error) {
 	kind, rest, ok := strings.Cut(strings.TrimSpace(spec), "@")
 	if !ok {
@@ -347,6 +359,9 @@ func ParseEnvelope(spec string) (Envelope, error) {
 	}
 	dur := func(s string) (float64, error) {
 		d, err := sim.ParseDuration(s)
+		if err == nil && d > maxSpan {
+			err = fmt.Errorf("arrival: envelope span %q is past 2^53 ps", s)
+		}
 		return d.Nanos(), err
 	}
 	two := func(sep string) (float64, float64, error) {

@@ -166,6 +166,7 @@ func TestParseEnvelope(t *testing.T) {
 		"ramp@100us+500us:x3":    "ramp@100000ns+500000ns:x3",
 		"square@200us/50us:x2.5": "square@200000ns/50000ns:x2.5",
 		"step@1000:x0.5":         "step@1000ns:x0.5",
+		"pulse@2s+1s:x0.5":       "pulse@2000000000ns+1000000000ns:x0.5",
 	}
 	for spec, want := range cases {
 		e, err := ParseEnvelope(spec)
@@ -181,6 +182,7 @@ func TestParseEnvelope(t *testing.T) {
 		"", "step", "step@400us", "step@400us:y2", "step@400us:x0", "step@zz:x2",
 		"pulse@400us:x2", "pulse@400us+0:x2", "ramp@1us+0:x2",
 		"square@50us/50us:x2", "square@50us+10us:x2", "sine@50us:x2",
+		"step@10us:xInf", "step@10000s:x2",
 	} {
 		if _, err := ParseEnvelope(bad); err == nil {
 			t.Errorf("ParseEnvelope(%q) accepted", bad)
@@ -214,4 +216,21 @@ func TestParseEnvelopeRejectsTrailingGarbage(t *testing.T) {
 			t.Errorf("ParseEnvelope(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseEnvelope fuzzes the -modulate grammar from the seed corpus in
+// testdata/fuzz (the parser test's specs). Whatever a user types,
+// ParseEnvelope must not panic, and every envelope it accepts must print
+// back to a spec that parses to the same envelope.
+func FuzzParseEnvelope(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		env, err := ParseEnvelope(spec)
+		if err != nil {
+			return
+		}
+		again, err := ParseEnvelope(env.String())
+		if err != nil || again != env {
+			t.Fatalf("%q: envelope %#v prints as %q, which parses to %#v, %v", spec, env, env.String(), again, err)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"rpcvalet/internal/ni"
@@ -215,4 +216,20 @@ func TestPlanLabels(t *testing.T) {
 			t.Errorf("label = %q, want %q", got, want)
 		}
 	}
+}
+
+// FuzzParsePlan fuzzes the -dispatch grammar from the seed corpus in
+// testdata/fuzz (the parser test's specs). Whatever a user types, ParsePlan
+// must not panic, and a plan it accepts must either fit the default machine
+// or be refused by validation with a machine: error, never a panic.
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		pl, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		if err := pl.validate(Defaults()); err != nil && !strings.HasPrefix(err.Error(), "machine: ") {
+			t.Fatalf("ParsePlan(%q) = %+v, whose validation fails without a machine: prefix: %v", spec, pl, err)
+		}
+	})
 }
