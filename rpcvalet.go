@@ -42,8 +42,8 @@
 // Arrival means Poisson at the configured rate and reproduces byte-identical
 // result streams for existing seeds; setting Arrival changes only the shape
 // of the traffic, with the mean rate still taken from RateMRPS (or Load for
-// queueing models). Build processes with ArrivalByName or the Arrival*
-// constructors.
+// queueing models). Build processes with ArrivalByName, ArrivalPoisson or
+// ArrivalModulated.
 //
 // # Dispatch plans
 //
@@ -89,21 +89,19 @@
 //
 // Every runtime can explain its tail request by request. Setting
 // Config.TailSamples (or the cluster/live equivalents) retains the K slowest
-// requests as Spans — per-request latency decomposed into balancer hop,
+// requests as spans — per-request latency decomposed into balancer hop,
 // queue wait, dispatch, and service legs, with core/node attribution and the
-// queue depth each request arrived into — on Result.TailSpans. A
-// TraceRecorder on Config.Trace streams every lifecycle event (sampled 1-in-N
-// via TraceSample); tracing is passive, costs zero allocations when disabled,
+// queue depth each request arrived into — on Result.TailSpans. A trace
+// recorder on Config.Trace streams every lifecycle event (sampled 1-in-N via
+// TraceSample); tracing is passive, costs zero allocations when disabled,
 // and never perturbs the simulated schedule — traced and untraced runs are
 // byte-identical. The obs exports serve live runs' counters and latency
 // histograms in Prometheus text format (ServeObs: /metrics, /healthz,
-// /debug/pprof), and WriteSpansJSONL exports span sets for offline analysis.
-// See DESIGN.md §7.
+// /debug/pprof). See DESIGN.md §7.
 package rpcvalet
 
 import (
 	"fmt"
-	"io"
 
 	"rpcvalet/internal/arrival"
 	"rpcvalet/internal/cluster"
@@ -115,7 +113,6 @@ import (
 	"rpcvalet/internal/obs"
 	"rpcvalet/internal/queueing"
 	"rpcvalet/internal/sim"
-	"rpcvalet/internal/trace"
 	"rpcvalet/internal/workload"
 )
 
@@ -145,11 +142,6 @@ type Params = machine.Params
 // Cluster.NodePlans. The four legacy modes are canned plans; JBSQ and
 // ParseDispatchPlan build the rest.
 type DispatchPlan = machine.Plan
-
-// DispatchPolicy selects which available core a dispatcher hands the head
-// message to — the paper's "sophisticated, even microcoded, policies" hook.
-// Implement it directly, or name a built-in via DispatchPolicyByName.
-type DispatchPolicy = ni.Policy
 
 // DispatchPolicySpec names a dispatch policy and builds a fresh,
 // deterministically seeded instance per dispatcher.
@@ -225,35 +217,13 @@ func ArrivalByName(name string, rateMRPS float64) (ArrivalProcess, error) {
 // ArrivalPoisson returns the memoryless default arrival process at rateMRPS.
 func ArrivalPoisson(rateMRPS float64) ArrivalProcess { return arrival.PoissonAtMRPS(rateMRPS) }
 
-// ArrivalDeterministic returns fixed-gap (D/·/·) arrivals at rateMRPS.
-func ArrivalDeterministic(rateMRPS float64) ArrivalProcess {
-	return arrival.DeterministicAtMRPS(rateMRPS)
-}
-
-// ArrivalMMPP2 returns a two-state Markov-modulated Poisson process with
-// overall mean rate rateMRPS, burst rate burstRatio times the calm rate, and
-// the given mean state dwells in nanoseconds.
-func ArrivalMMPP2(rateMRPS, burstRatio, calmDwellNanos, burstDwellNanos float64) ArrivalProcess {
-	return arrival.NewMMPP2(rateMRPS, burstRatio, calmDwellNanos, burstDwellNanos)
-}
-
-// ArrivalLognormal returns heavy-tailed lognormal interarrival gaps with
-// mean rate rateMRPS and the given sigma (gap CV = sqrt(e^sigma² − 1)).
-func ArrivalLognormal(rateMRPS, sigma float64) ArrivalProcess {
-	return arrival.LognormalAtMRPS(rateMRPS, sigma)
-}
-
 // Duration is a span of virtual time in integer picoseconds — the type of
 // every duration-valued config field (Epoch, MaxSimTime, Cluster.Hop,
 // Pause windows).
 type Duration = sim.Duration
 
-// Virtual-time units for duration-valued config fields.
-const (
-	Nanosecond  = sim.Nanosecond
-	Microsecond = sim.Microsecond
-	Millisecond = sim.Millisecond
-)
+// Microsecond is the virtual-time unit of duration-valued config fields.
+const Microsecond = sim.Microsecond
 
 // ParseDuration parses a virtual-time span with an optional unit suffix:
 // "500ns", "50us", "1.5ms", "2s", or a bare nanosecond count.
@@ -261,7 +231,7 @@ func ParseDuration(s string) (Duration, error) { return sim.ParseDuration(s) }
 
 // Envelope is a deterministic rate-modulation profile over virtual time — a
 // factor multiplying a base arrival process's instantaneous rate. Build one
-// with EnvelopeStep/Pulse/Ramp/SquareWave or ParseEnvelope, then wrap any
+// with EnvelopePulse or ParseEnvelope, then wrap any
 // arrival process with ArrivalModulated.
 type Envelope = arrival.Envelope
 
@@ -273,26 +243,10 @@ func ArrivalModulated(base ArrivalProcess, env Envelope) ArrivalProcess {
 	return arrival.NewModulated(base, env)
 }
 
-// EnvelopeStep holds factor 1 until atNanos, then factor forever — a load
-// step.
-func EnvelopeStep(atNanos, factor float64) Envelope { return arrival.NewStep(atNanos, factor) }
-
 // EnvelopePulse holds factor over [startNanos, startNanos+durNanos) — a
 // bounded overload burst.
 func EnvelopePulse(startNanos, durNanos, factor float64) Envelope {
 	return arrival.NewPulse(startNanos, durNanos, factor)
-}
-
-// EnvelopeRamp interpolates from 1× to factor× over durNanos starting at
-// startNanos, holding factor afterward.
-func EnvelopeRamp(startNanos, durNanos, factor float64) Envelope {
-	return arrival.NewRamp(startNanos, durNanos, factor)
-}
-
-// EnvelopeSquareWave alternates factor (for highNanos at the start of each
-// period) with 1 — sustained periodic bursting.
-func EnvelopeSquareWave(periodNanos, highNanos, factor float64) Envelope {
-	return arrival.NewSquareWave(periodNanos, highNanos, factor)
 }
 
 // ParseEnvelope parses the CLI -modulate grammar: "step@400us:x2",
@@ -303,9 +257,6 @@ func ParseEnvelope(spec string) (Envelope, error) { return arrival.ParseEnvelope
 // per-epoch throughput, latency and wait percentiles, queue depth, and
 // utilization over the whole run.
 type Timeline = metrics.Timeline
-
-// EpochStats is one Timeline slice.
-type EpochStats = metrics.EpochStats
 
 // Pause is a stall window: a core beginning work inside it stalls until the
 // window ends (a GC pause or power event). Set on Config.Pauses or a
@@ -331,20 +282,11 @@ func ParseNodeFaults(spec string) ([]NodeFault, error) { return cluster.ParseFau
 // Curve is a measured latency-throughput series for one configuration.
 type Curve = core.Curve
 
-// CurvePoint is one point of a Curve.
-type CurvePoint = core.CurvePoint
-
 // Sweep runs cfg at each offered rate (in MRPS) and returns the curve.
 // Points run concurrently on up to NumCPU workers; results are deterministic
 // for a given seed regardless of the worker count.
 func Sweep(cfg Config, ratesMRPS []float64, label string) (Curve, error) {
 	return core.MachineSweep(cfg, ratesMRPS, label, 0)
-}
-
-// SweepWorkers is Sweep with an explicit cap on concurrently running
-// simulations (0 = NumCPU).
-func SweepWorkers(cfg Config, ratesMRPS []float64, label string, workers int) (Curve, error) {
-	return core.MachineSweep(cfg, ratesMRPS, label, workers)
 }
 
 // CapacityMRPS estimates the configuration's saturation throughput.
@@ -473,63 +415,6 @@ func RunLive(cfg LiveConfig) (LiveResult, error) { return live.Run(cfg) }
 // workers over the scaled mean service time.
 func LiveCapacityMRPS(cfg LiveConfig) float64 { return live.CapacityMRPS(cfg) }
 
-// Span is the end-to-end anatomy of one request: its lifecycle milestones
-// (balancer receive, forward, arrival, dispatch, service start, completion)
-// with derived legs (HopNs, QueueWaitNs, DispatchNs, ServiceNs, WaitShare)
-// and attribution (node, core, queue depth at arrival). Unobserved
-// milestones are TraceUnset; fields a runtime cannot measure stay that way
-// (the live runtime has no dispatch timestamp, single-machine runs have no
-// balancer phases).
-type Span = trace.Span
-
-// TraceEvent is one request-lifecycle milestone emitted by a simulator or
-// reconstructed by the live runtime.
-type TraceEvent = trace.Event
-
-// TracePhase names a lifecycle milestone; phases order causally via Rank.
-type TracePhase = trace.Phase
-
-// The request-lifecycle phases, in causal order.
-const (
-	TraceBalancerRecv = trace.PhaseBalancerRecv
-	TraceForward      = trace.PhaseForward
-	TraceArrive       = trace.PhaseArrive
-	TraceDispatch     = trace.PhaseDispatch
-	TraceStart        = trace.PhaseStart
-	TraceComplete     = trace.PhaseComplete
-)
-
-// TraceUnset marks a span milestone that was never observed.
-const TraceUnset = trace.Unset
-
-// TraceRecorder consumes lifecycle events. Set one on Config.Trace,
-// Cluster.Trace, or LiveConfig.Trace; thin the stream with the matching
-// TraceSample field (1-in-N by request ID).
-type TraceRecorder = trace.Recorder
-
-// TraceFunc adapts a function to a TraceRecorder.
-type TraceFunc = trace.Func
-
-// TraceBuffer is a bounded ring of the most recent trace events.
-type TraceBuffer = trace.Buffer
-
-// NewTraceBuffer builds a trace ring holding the last capacity events.
-func NewTraceBuffer(capacity int) *TraceBuffer { return trace.NewBuffer(capacity) }
-
-// TraceCollector assembles a full event stream into completed Spans.
-type TraceCollector = trace.Collector
-
-// NewTraceCollector builds an empty span collector.
-func NewTraceCollector() *TraceCollector { return trace.NewCollector() }
-
-// AssembleSpans folds an event slice into Spans, one per request, in
-// first-seen order.
-func AssembleSpans(events []TraceEvent) []Span { return trace.Spans(events) }
-
-// SortSpansSlowestFirst orders spans by descending end-to-end latency
-// (request ID breaks ties deterministically).
-func SortSpansSlowestFirst(spans []Span) { trace.SortSlowestFirst(spans) }
-
 // ObsRegistry holds named Prometheus-style instruments (counters, gauges,
 // latency histograms) and writes them in text exposition format v0.0.4.
 type ObsRegistry = obs.Registry
@@ -562,10 +447,6 @@ func ServeObs(addr string, reg *ObsRegistry, healthz func() error) (*ObsServer, 
 	return obs.Serve(addr, reg, healthz)
 }
 
-// WriteSpansJSONL writes spans one JSON object per line — the stable
-// offline-analysis export (unset milestones encode as -1).
-func WriteSpansJSONL(w io.Writer, spans []Span) error { return obs.WriteSpansJSONL(w, spans) }
-
 // QueueModel describes a theoretical Q×U queueing simulation (§2.2).
 type QueueModel = queueing.Config
 
@@ -580,9 +461,6 @@ type Figure = core.Figure
 
 // Options scales figure regeneration.
 type Options = core.Options
-
-// DefaultOptions sizes runs for full figure regeneration.
-func DefaultOptions() Options { return core.DefaultOptions() }
 
 // QuickOptions sizes runs for fast, noisier regeneration.
 func QuickOptions() Options { return core.QuickOptions() }
