@@ -103,6 +103,8 @@ func main() {
 	base.Arrival = f.ArrivalAt(base.RateMRPS)
 	base.Hop = nanos(f, "hop", *hop)
 	base.SampleEvery = nanos(f, "sample", *sample)
+	// The global-tier flags are checked even without -racks, so a typo
+	// never passes silently.
 	gpol, err := rpcvalet.ClusterPolicyByName(*gpolName)
 	f.Check(2, err)
 	gh, gs := nanos(f, "global-hop", *ghop), nanos(f, "global-sample", *gsample)

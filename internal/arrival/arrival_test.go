@@ -192,14 +192,16 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("bogus", 3); err == nil {
 		t.Fatal("unknown name accepted")
 	}
-	if _, err := ByName("poisson", 0); err == nil {
-		t.Fatal("zero rate accepted")
+	for _, rate := range []float64{0, math.Inf(1), math.NaN()} {
+		if _, err := ByName("poisson", rate); err == nil {
+			t.Fatalf("rate %v accepted", rate)
+		}
 	}
 }
 
-// TestDegenerateRatesPanic: a zero or negative rate would yield infinite or
-// NaN gaps and spin a simulation forever at virtual time zero, so every
-// constructor must reject it loudly.
+// TestDegenerateRatesPanic: a zero, negative or infinite rate would yield
+// infinite, NaN or zero gaps and spin a simulation forever at virtual time
+// zero, so every constructor must reject it loudly.
 func TestDegenerateRatesPanic(t *testing.T) {
 	cases := map[string]func(){
 		"poissonMRPS":  func() { PoissonAtMRPS(0) },
@@ -207,6 +209,7 @@ func TestDegenerateRatesPanic(t *testing.T) {
 		"det":          func() { DeterministicAtMRPS(0) },
 		"lognormal":    func() { LognormalAtMRPS(-2, 1.5) },
 		"mmpp2":        func() { NewMMPP2(0, 2, 100, 100) },
+		"infinite":     func() { PoissonAtMRPS(math.Inf(1)) },
 	}
 	for name, build := range cases {
 		func() {

@@ -25,9 +25,9 @@ import (
 
 // Flags holds the shared flags of one command.
 type Flags struct {
-	prog       string   // the command's name: the prefix of every error
-	formats    []string // the -format values the command prints
-	collectors []*trace.Collector
+	prog       string             // the command's name: the prefix of every error
+	formats    []string           // the -format values the command prints
+	collectors []*trace.Collector // one per traced run, in run order
 
 	Workload, Format, TraceJSONL *string
 	Seed                         *uint64
@@ -193,8 +193,8 @@ func (f *Flags) NodeFaults() []cluster.NodeFault {
 }
 
 // Trace returns the recorder for one run's Trace field: a fresh span
-// collector when -trace-jsonl is set, else nil. WriteSpans writes what
-// every collector handed out gathered.
+// collector when -trace-jsonl is set, else nil. WriteSpans writes out the
+// spans of every collector Trace handed out.
 func (f *Flags) Trace() trace.Recorder {
 	if *f.TraceJSONL == "" {
 		return nil
@@ -204,8 +204,8 @@ func (f *Flags) Trace() trace.Recorder {
 	return c
 }
 
-// WriteSpans writes the spans of every run Trace armed to the -trace-jsonl
-// file, run by run, as JSON lines.
+// WriteSpans writes the traced runs' spans to the -trace-jsonl file as JSON
+// lines, run by run.
 func (f *Flags) WriteSpans() error {
 	if *f.TraceJSONL == "" {
 		return nil

@@ -48,6 +48,7 @@ func TestValidation(t *testing.T) {
 		"noNodes":       func(c *Config) { c.Nodes = 0 },
 		"nilPolicy":     func(c *Config) { c.Policy = nil },
 		"zeroRate":      func(c *Config) { c.RateMRPS = 0 },
+		"infRate":       func(c *Config) { c.RateMRPS = math.Inf(1) },
 		"noMeasure":     func(c *Config) { c.Measure = 0 },
 		"negWarmup":     func(c *Config) { c.Warmup = -1 },
 		"negHop":        func(c *Config) { c.Hop = -1 },

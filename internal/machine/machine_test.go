@@ -38,6 +38,7 @@ func TestConfigValidation(t *testing.T) {
 	good := testConfig(ModeSingleQueue, workload.HERD(), 5)
 	mutations := map[string]func(*Config){
 		"zeroRate":    func(c *Config) { c.RateMRPS = 0 },
+		"infRate":     func(c *Config) { c.RateMRPS = math.Inf(1) },
 		"zeroMeasure": func(c *Config) { c.Measure = 0 },
 		"negWarmup":   func(c *Config) { c.Warmup = -1 },
 		"badCores":    func(c *Config) { c.Params.Cores = 0 },
