@@ -13,12 +13,19 @@
 // metrics such as sim_mrps and claims_ok_ratio regress downward. All other
 // metrics (p99_ns, tables, ...) are informational — they describe the
 // simulated system, not the simulator, so the gate ignores them.
+//
+// A benchmark whose two snapshots name different CPUs (cmd/benchjson's
+// provenance) is compared but marked cross-host: its deltas measure the
+// machines as much as the code, so they never count as regressions.
+// Snapshots without a CPU (recorded before benchjson kept provenance) are
+// compared as before.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -29,6 +36,7 @@ type entry struct {
 	Package    string             `json:"package,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+	CPU        string             `json:"cpu,omitempty"`
 }
 
 // direction classifies how a metric regresses: +1 means bigger is worse,
@@ -86,14 +94,33 @@ func main() {
 		os.Exit(2)
 	}
 
-	regressions := 0
-	fmt.Printf("%-44s %-16s %14s %14s %9s\n", "benchmark", "metric", "old", "new", "delta")
+	regressions, crossHost := diff(os.Stdout, oldBy, newBy, newOrder, *threshold)
+	if crossHost > 0 {
+		fmt.Printf("\n%d benchmark(s) ran on a different CPU than their baseline; their deltas are not regressions\n", crossHost)
+	}
+	if regressions > 0 {
+		fmt.Printf("\n%d metric(s) regressed beyond %.0f%%\n", regressions, *threshold)
+		os.Exit(1)
+	}
+	fmt.Printf("\nno regressions beyond %.0f%%\n", *threshold)
+}
+
+// diff prints the per-metric comparison of every benchmark in newOrder and
+// returns the number of same-host regressions past threshold percent and
+// the number of benchmarks compared across different CPUs.
+func diff(w io.Writer, oldBy, newBy map[string]entry, newOrder []string, threshold float64) (regressions, crossHost int) {
+	fmt.Fprintf(w, "%-44s %-16s %14s %14s %9s\n", "benchmark", "metric", "old", "new", "delta")
 	for _, key := range newOrder {
 		ne := newBy[key]
 		oe, ok := oldBy[key]
 		if !ok {
-			fmt.Printf("%-44s %-16s %14s %14s %9s\n", ne.Name, "(new benchmark)", "-", "-", "-")
+			fmt.Fprintf(w, "%-44s %-16s %14s %14s %9s\n", ne.Name, "(new benchmark)", "-", "-", "-")
 			continue
+		}
+		cross := oe.CPU != "" && ne.CPU != "" && oe.CPU != ne.CPU
+		if cross {
+			crossHost++
+			fmt.Fprintf(w, "%-44s cross-host: %q vs %q\n", ne.Name, oe.CPU, ne.CPU)
 		}
 		metrics := make([]string, 0, len(ne.Metrics))
 		for m := range ne.Metrics {
@@ -111,21 +138,21 @@ func main() {
 				pct = 100
 			}
 			mark := ""
-			if d := direction(m); d != 0 && float64(d)*pct > *threshold {
-				mark = "  REGRESSION"
-				regressions++
+			if d := direction(m); d != 0 && float64(d)*pct > threshold {
+				if cross {
+					mark = "  (cross-host)"
+				} else {
+					mark = "  REGRESSION"
+					regressions++
+				}
 			}
-			fmt.Printf("%-44s %-16s %14.4g %14.4g %+8.1f%%%s\n", ne.Name, m, ov, nv, pct, mark)
+			fmt.Fprintf(w, "%-44s %-16s %14.4g %14.4g %+8.1f%%%s\n", ne.Name, m, ov, nv, pct, mark)
 		}
 	}
 	for key, oe := range oldBy {
 		if _, ok := newBy[key]; !ok {
-			fmt.Printf("%-44s %-16s %14s %14s %9s\n", oe.Name, "(removed)", "-", "-", "-")
+			fmt.Fprintf(w, "%-44s %-16s %14s %14s %9s\n", oe.Name, "(removed)", "-", "-", "-")
 		}
 	}
-	if regressions > 0 {
-		fmt.Printf("\n%d metric(s) regressed beyond %.0f%%\n", regressions, *threshold)
-		os.Exit(1)
-	}
-	fmt.Printf("\nno regressions beyond %.0f%%\n", *threshold)
+	return regressions, crossHost
 }

@@ -1,19 +1,16 @@
 package cluster
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // BenchmarkClusterHier is the end-to-end two-tier benchmark at the ROADMAP's
-// 1000-node scale: one full hierarchical cluster.Run per iteration — a
+// 1000-node scale, split into build and steady phases (see benchPhases): a
 // jsqfull global balancer dispatching over 8 rack balancers, each running
-// whole-rack JSQ off its depth index — so sim_mrps reads the simulator's
-// datacenter throughput with both dispatch tiers on the arrival path. The
-// serial engine and the racks-as-shards PDES engine run as subtests: the
-// serial cell is the tier abstraction's overhead against BenchmarkClusterRack
-// (same nodes, one tier fewer), the sharded cell is the parallel path whose
-// lookahead is the global hop.
+// whole-rack JSQ off its depth index, so phase=steady's sim_mrps reads the
+// simulator's datacenter throughput with both dispatch tiers on the arrival
+// path. The serial engine and the racks-as-shards PDES engine run as
+// subtests: the serial cell is the tier abstraction's overhead against
+// BenchmarkClusterRack (same nodes, one tier fewer), the sharded cell is
+// the parallel path whose lookahead is the global hop.
 func BenchmarkClusterHier(b *testing.B) {
 	const nodes, racks = 1000, 8
 	for _, bc := range []struct {
@@ -31,22 +28,11 @@ func BenchmarkClusterHier(b *testing.B) {
 			cfg.Shards = bc.shards
 			cfg.Warmup = 2000
 			cfg.Measure = 30000
-			total := cfg.Warmup + cfg.Measure
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := cfg
-				c.Policy = cfg.Policy.Clone()
-				c.GlobalPolicy = cfg.GlobalPolicy.Clone()
-				res, err := Run(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Completed != total {
-					b.Fatalf("completed %d of %d", res.Completed, total)
-				}
-			}
-			b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds()/1e6, "sim_mrps")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+			benchPhases(b, cfg, func(c Config) Config {
+				c.Policy = c.Policy.Clone()
+				c.GlobalPolicy = c.GlobalPolicy.Clone()
+				return c
+			})
 		})
 	}
 }

@@ -66,12 +66,13 @@ func BenchmarkPolicyPick(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterRack is the end-to-end 1000-node steady-state benchmark:
-// one full cluster.Run per iteration on the serial engine, so sim_mrps reads
-// the simulator's whole-rack throughput with the decision engine on the
-// arrival path. jsq2 rides along as the control: its pick cost is O(1), so
-// any movement there is simulator noise, while jsqfull and bounded isolate
-// the O(N)-scan-versus-index difference.
+// BenchmarkClusterRack is the end-to-end 1000-node benchmark on the serial
+// engine, split into phases (see benchPhases): phase=steady's sim_mrps reads
+// the simulator's whole-rack per-request throughput with the decision
+// engine on the arrival path, and phase=build what constructing the rack
+// costs. jsq2 rides along as the control: its pick cost is O(1), so any
+// movement there is simulator noise, while jsqfull and bounded isolate the
+// O(N)-scan-versus-index difference.
 func BenchmarkClusterRack(b *testing.B) {
 	const nodes = 1000
 	for _, pc := range rackPolicies(nodes) {
@@ -84,21 +85,50 @@ func BenchmarkClusterRack(b *testing.B) {
 			cfg := baseConfig(nodes, pc.mk(), 0.8)
 			cfg.Warmup = 2000
 			cfg.Measure = 30000
-			total := cfg.Warmup + cfg.Measure
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := cfg
-				c.Policy = cfg.Policy.Clone()
-				res, err := Run(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Completed != total {
-					b.Fatalf("completed %d of %d", res.Completed, total)
-				}
-			}
-			b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds()/1e6, "sim_mrps")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+			benchPhases(b, cfg, func(c Config) Config {
+				c.Policy = c.Policy.Clone()
+				return c
+			})
 		})
 	}
+}
+
+// benchPhases benchmarks one cluster configuration in two sub-benchmarks.
+// phase=build times newRunner alone: the engines, the tier chain and every
+// node. phase=steady times the simulation that follows, with each
+// iteration's build outside the timer, so its sim_mrps counts completions
+// (warm-up included) per second of simulating, not of constructing. fresh
+// gives each iteration its own policy state.
+func benchPhases(b *testing.B, cfg Config, fresh func(Config) Config) {
+	if err := cfg.validate(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("phase=build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := newRunner(fresh(cfg)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("phase=steady", func(b *testing.B) {
+		total := cfg.Warmup + cfg.Measure
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			r, err := newRunner(fresh(cfg))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			res, err := r.run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Completed != total {
+				b.Fatalf("completed %d of %d", res.Completed, total)
+			}
+		}
+		b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds()/1e6, "sim_mrps")
+		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+	})
 }

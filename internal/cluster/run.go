@@ -196,6 +196,11 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	return r.run()
+}
+
+// run advances the built simulation to its end and assembles the result.
+func (r *runner) run() (Result, error) {
 	if r.pt.groups == 0 {
 		r.front.eng.Run()
 	} else {

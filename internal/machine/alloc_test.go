@@ -24,12 +24,13 @@ func marginalAllocsPerRequest(t *testing.T, run func(measure int)) float64 {
 
 // TestSteadyStateAllocsPerRequest pins the tentpole invariant: with tracing
 // off, the per-request simulation path allocates nothing. The measured
-// marginal cost is ~0.09 allocations per request, all amortized growth of
-// the epoch-timeline latency samples (slice doubling plus the pairwise
-// merges when the timeline re-buckets) — there is no O(1)-per-request
-// allocation left. The 0.15 budget holds that line while catching any real
-// regression: a single closure, boxed value, or map insert per request
-// would read ≥1.0.
+// marginal cost is ~0.005 allocations per request, all amortized growth of
+// buffers whose size follows the completion count — chiefly the epoch
+// timeline's value-store chunks, which are appended, never copied, so
+// re-bucketing the timeline allocates nothing — and there is no
+// O(1)-per-request allocation left. The 0.15 budget holds that line while
+// catching any real regression: a single closure, boxed value, or map
+// insert per request would read ≥1.0.
 func TestSteadyStateAllocsPerRequest(t *testing.T) {
 	for _, mode := range []Mode{ModeSingleQueue, ModePartitioned, ModeSoftware} {
 		t.Run(mode.String(), func(t *testing.T) {

@@ -79,17 +79,16 @@ type Machine struct {
 	recvBuf  *sonuma.ReceiveBuffer
 	replyBuf *sonuma.SendBuffer
 
-	// Inflight tracking: a dense table keyed by receive-buffer slot (unique
-	// per admitted request — §4.2's N×S flow control guarantees a slot is
-	// never reused before its replenish) plus a plain counter covering both
-	// admitted and flow-control-parked requests, preserving the depth
-	// semantics of the hashmap this replaces.
-	reqBySlot     []*request
+	// Inflight tracking: a table of the busy receive-buffer slots (a slot
+	// is unique per admitted request — §4.2's N×S flow control guarantees
+	// it is never reused before its replenish) plus a plain counter covering
+	// both admitted and flow-control-parked requests.
+	reqBySlot     sonuma.SlotTable[*request]
 	inflightCount int
 	pool          []*request // recycled request objects
 
-	freeSlots    []fifo.Queue[int]      // per source node: free per-pair slots, FIFO ring order
-	pendingBySrc []fifo.Queue[*request] // arrivals blocked on slot flow control
+	freeSlots    []slotSource            // per source node: free per-pair slots, FIFO ring order
+	pendingBySrc []*fifo.Queue[*request] // arrivals blocked on slot flow control; nil until first blocked
 
 	// Software single-queue state.
 	swQueue    fifo.Queue[*request]
@@ -97,7 +96,7 @@ type Machine struct {
 	idleCores  fifo.Queue[int]
 	lock       *sim.Server
 
-	replyWaiters []fifo.Queue[*request] // indexed by requester node
+	replyWaiters []*fifo.Queue[*request] // indexed by requester node; nil until first stall
 
 	arr    arrival.Process
 	nextID uint64
@@ -262,21 +261,20 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 	}
 	root := rng.New(cfg.Seed)
 	m := &Machine{
-		p:         p,
-		plan:      plan,
-		wl:        cfg.Workload,
-		cfg:       cfg,
-		eng:       eng,
-		external:  external,
-		arrRNG:    root.Split(),
-		srcRNG:    root.Split(),
-		classRNG:  root.Split(),
-		svcRNG:    root.Split(),
-		rssRNG:    root.Split(),
-		reqBySlot: make([]*request, p.Domain.TotalSlots()),
-		target:    cfg.Warmup + cfg.Measure,
-		slow:      1,
-		sampleN:   1,
+		p:        p,
+		plan:     plan,
+		wl:       cfg.Workload,
+		cfg:      cfg,
+		eng:      eng,
+		external: external,
+		arrRNG:   root.Split(),
+		srcRNG:   root.Split(),
+		classRNG: root.Split(),
+		svcRNG:   root.Split(),
+		rssRNG:   root.Split(),
+		target:   cfg.Warmup + cfg.Measure,
+		slow:     1,
+		sampleN:  1,
 	}
 	if cfg.TraceSample > 1 {
 		m.sampleN = uint64(cfg.TraceSample)
@@ -343,15 +341,9 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 	if m.replyBuf, err = sonuma.NewSendBuffer(p.Domain); err != nil {
 		return nil, err
 	}
-	m.freeSlots = make([]fifo.Queue[int], p.Domain.Nodes)
-	m.pendingBySrc = make([]fifo.Queue[*request], p.Domain.Nodes)
-	m.replyWaiters = make([]fifo.Queue[*request], p.Domain.Nodes)
-	for n := range m.freeSlots {
-		m.freeSlots[n].Grow(p.Domain.Slots + margin)
-		for s := 0; s < p.Domain.Slots; s++ {
-			m.freeSlots[n].Push(s)
-		}
-	}
+	m.freeSlots = make([]slotSource, p.Domain.Nodes)
+	m.pendingBySrc = make([]*fifo.Queue[*request], p.Domain.Nodes)
+	m.replyWaiters = make([]*fifo.Queue[*request], p.Domain.Nodes)
 
 	if err := m.wireDispatchers(); err != nil {
 		return nil, err
@@ -563,9 +555,9 @@ func (m *Machine) inject(onDone func(class int, measured bool), onDoneFn func(ar
 	}
 	m.nextID++
 	m.inflightCount++
-	if m.freeSlots[src].Len() == 0 {
+	if m.freeSlots[src].free(m.p.Domain.Slots) == 0 {
 		m.blockedArrivals++
-		m.pendingBySrc[src].Push(req)
+		park(&m.pendingBySrc[src], req)
 		return
 	}
 	m.admit(req)
@@ -597,13 +589,14 @@ func (m *Machine) Timeline() metrics.Timeline { return m.rec.Timeline() }
 // (§4.2's per-destination head/tail pointers); this also spreads messages
 // evenly over the address-interleaved NI backends.
 func (m *Machine) admit(req *request) {
-	slot, ok := m.freeSlots[req.src].Pop()
+	slot, ok := m.freeSlots[req.src].pop(m.p.Domain.Slots)
 	if !ok {
 		panic(fmt.Sprintf("machine: admit from node %d with no free slot", req.src))
 	}
 	req.pairSlot = slot
 	req.slot = m.p.Domain.RecvSlotIndex(req.src, req.pairSlot)
-	m.reqBySlot[req.slot] = req
+	entry, _ := m.reqBySlot.Put(req.slot)
+	*entry = req
 
 	b := req.slot % len(m.backends)
 	switch m.p.Domain.Classify(m.wl.RequestBytes) {
@@ -710,11 +703,14 @@ func (m *Machine) dispatcherFor(req *request, b int) int {
 }
 
 // deliver carries a dispatch decision to the chosen core's private CQ. The
-// inflight request is found through the dense slot table: the message's
+// inflight request is found through the busy-slot table: the message's
 // receive slot is unique among admitted requests, and the Tag cross-check
 // turns any slot-identity violation into a loud failure.
 func (m *Machine) deliver(di int, d ni.Dispatch) {
-	req := m.reqBySlot[d.Msg.Slot]
+	var req *request
+	if r := m.reqBySlot.Get(d.Msg.Slot); r != nil {
+		req = *r
+	}
 	if req == nil || req.id != d.Msg.Tag {
 		panic(fmt.Sprintf("machine: dispatch of unknown request %d (slot %d)", d.Msg.Tag, d.Msg.Slot))
 	}
@@ -768,7 +764,7 @@ func (m *Machine) finish(req *request) {
 	slot, ok := m.replyBuf.Acquire(req.src, req.id, m.wl.ReplyBytes)
 	if !ok {
 		m.replyStalls++
-		m.replyWaiters[req.src].Push(req)
+		park(&m.replyWaiters[req.src], req)
 		return
 	}
 	m.complete(req, slot)
@@ -822,7 +818,7 @@ func (m *Machine) complete(req *request, replySlot int) {
 	if err := m.recvBuf.Free(req.slot); err != nil {
 		panic(fmt.Sprintf("machine: replenish: %v", err))
 	}
-	m.reqBySlot[req.slot] = nil
+	m.reqBySlot.Delete(req.slot)
 	m.inflightCount--
 	m.eng.ScheduleArg(m.p.NetRTT/2, m.fnReplenish, req)
 
@@ -859,7 +855,7 @@ func (m *Machine) replyCredit(arg any) {
 		panic(fmt.Sprintf("machine: reply credit return: %v", err))
 	}
 	m.decRef(req)
-	if w, ok := m.replyWaiters[src].Pop(); ok {
+	if w, ok := unpark(m.replyWaiters[src]); ok {
 		s, ok := m.replyBuf.Acquire(src, w.id, m.wl.ReplyBytes)
 		if !ok {
 			panic("machine: freed reply slot immediately unavailable")
@@ -874,8 +870,8 @@ func (m *Machine) replenish(arg any) {
 	req := arg.(*request)
 	src, pairSlot := req.src, req.pairSlot
 	m.decRef(req)
-	m.freeSlots[src].Push(pairSlot)
-	if next, ok := m.pendingBySrc[src].Pop(); ok {
+	m.freeSlots[src].push(pairSlot, m.p.Domain.Slots)
+	if next, ok := unpark(m.pendingBySrc[src]); ok {
 		m.admit(next)
 	}
 }

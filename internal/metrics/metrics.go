@@ -20,19 +20,25 @@
 //     steady-state window averages away.
 //
 // The slice count is bounded: when a run outgrows MaxEpochs slices, the
-// epoch length doubles and adjacent epochs merge pairwise
-// (stats.Sample.Merge), so the timeline stays a fixed number of rows for
-// any run length while every recorded observation remains attributed to the
-// slice containing it. Note the bound is on slice count, not bytes: epochs
-// keep exact-order-statistics samples, so total memory scales with the
-// completion count — the same order as the summary samples the simulators
-// have always kept (each observation is stored twice). The whole layer is
-// deterministic — it consumes no randomness and allocates no state that
-// depends on wall-clock time — so identical simulations produce identical
-// Timelines.
+// epoch length doubles and adjacent epochs merge pairwise, so the timeline
+// stays a fixed number of rows for any run length while every recorded
+// observation remains attributed to the slice containing it. Note the bound
+// is on slice count, not bytes: epochs keep exact order statistics, so total
+// memory scales with the completion count — the same order as the summary
+// samples the simulators have always kept (each observation is stored
+// twice). Because completions arrive in time order, each epoch's latency
+// and wait observations are one contiguous range of a per-series store kept
+// in completion order; merging two epochs joins two adjacent ranges and
+// copies no values, and the store grows in chunks it never moves. The whole
+// layer is deterministic — it consumes no randomness and allocates no state
+// that depends on wall-clock time — so identical simulations produce
+// identical Timelines.
 package metrics
 
 import (
+	"fmt"
+	"sort"
+
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/stats"
 )
@@ -77,9 +83,91 @@ type Completion struct {
 	Depth     int     // queue-depth signal at completion; <0 = not observed
 }
 
+// Chunk sizes of a valueStore: the first chunk holds firstChunk values and
+// each next one twice the last, up to maxChunk. Small recorders (one per
+// cluster node) stay small; long runs allocate one chunk per maxChunk
+// values.
+const (
+	firstChunk = 64
+	maxChunk   = 1 << 16
+)
+
+// valueStore keeps one series' observations in completion order, in chunks
+// that are never moved or copied once allocated.
+type valueStore struct {
+	chunks [][]float64 // all full except the last
+	n      int
+}
+
+// add appends v to the store.
+func (s *valueStore) add(v float64) {
+	last := len(s.chunks) - 1
+	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
+		size := firstChunk
+		if last >= 0 {
+			size = min(2*cap(s.chunks[last]), maxChunk)
+		}
+		s.chunks = append(s.chunks, make([]float64, 0, size))
+		last++
+	}
+	s.chunks[last] = append(s.chunks[last], v)
+	s.n++
+}
+
+// appendRange appends the n values starting at position off to dst.
+func (s *valueStore) appendRange(dst []float64, off, n int) []float64 {
+	for _, c := range s.chunks {
+		if n == 0 {
+			break
+		}
+		if off >= len(c) {
+			off -= len(c)
+			continue
+		}
+		k := min(n, len(c)-off)
+		dst = append(dst, c[off:off+k]...)
+		off, n = 0, n-k
+	}
+	return dst
+}
+
+// series is one epoch's share of a valueStore: the m.N values from position
+// off, and their moments.
+type series struct {
+	off int
+	m   stats.Moments
+}
+
+// record appends v to the store as the newest value of se. Values arrive in
+// time order, so se's range is the store's tail whenever it grows.
+func (se *series) record(s *valueStore, v float64) {
+	if se.m.N == 0 {
+		se.off = s.n
+	}
+	s.add(v)
+	se.m.Add(v)
+}
+
+// merge folds o, the series of the epoch right after se's, into se. Their
+// ranges are adjacent in the store, so the result is still one range.
+func (se *series) merge(o series) {
+	if se.m.N == 0 {
+		se.off = o.off
+	}
+	se.m.Merge(o.m)
+}
+
+// summarize sorts se's values into the scratch buffer *buf and summarizes
+// them exactly as stats.Sample.Summarize would.
+func (se *series) summarize(s *valueStore, buf *[]float64) stats.Summary {
+	*buf = s.appendRange((*buf)[:0], se.off, se.m.N)
+	sort.Float64s(*buf)
+	return se.m.Summarize(*buf)
+}
+
 // epoch is one timeline slice's accumulators.
 type epoch struct {
-	lat, wait   stats.Sample
+	lat, wait   series
 	completions int
 	depthSum    int64
 	depthN      int
@@ -87,10 +175,10 @@ type epoch struct {
 	busy        sim.Duration
 }
 
-// merge folds o into e (the epoch-doubling step).
+// merge folds o, the epoch right after e, into e (the epoch-doubling step).
 func (e *epoch) merge(o *epoch) {
-	e.lat.Merge(&o.lat)
-	e.wait.Merge(&o.wait)
+	e.lat.merge(o.lat)
+	e.wait.merge(o.wait)
 	e.completions += o.completions
 	e.depthSum += o.depthSum
 	e.depthN += o.depthN
@@ -108,6 +196,10 @@ type Recorder struct {
 	cfg        Config
 	epochNanos float64
 	epochs     []*epoch
+	// The epochs' latency and wait observations, in completion order, and
+	// the newest completion time, which Complete requires to never go back.
+	latVals, waitVals valueStore
+	last              sim.Time
 
 	// Summary collectors (measurement window only).
 	latency, wait, svc stats.Sample
@@ -196,8 +288,14 @@ func (r *Recorder) double() {
 // Complete records one finished request at virtual time t. The timeline
 // always records it; the summary collectors record it only while the
 // measurement window is open — the exact gating the simulators historically
-// applied inline.
+// applied inline. Completions must arrive in nondecreasing time order (every
+// simulator completes requests on its engine's clock); Complete panics if t
+// goes backwards.
 func (r *Recorder) Complete(t sim.Time, c Completion) {
+	if t < r.last {
+		panic(fmt.Sprintf("metrics: completion at %v before the previous one at %v", t, r.last))
+	}
+	r.last = t
 	if r.inWindow {
 		if c.Measured && c.LatencyNs >= 0 {
 			r.latency.Add(c.LatencyNs)
@@ -215,10 +313,10 @@ func (r *Recorder) Complete(t sim.Time, c Completion) {
 	e := r.epochAt(t)
 	e.completions++
 	if c.Measured && c.LatencyNs >= 0 {
-		e.lat.Add(c.LatencyNs)
+		e.lat.record(&r.latVals, c.LatencyNs)
 	}
 	if c.WaitNs >= 0 {
-		e.wait.Add(c.WaitNs)
+		e.wait.record(&r.waitVals, c.WaitNs)
 	}
 	if c.Depth >= 0 {
 		e.depthSum += int64(c.Depth)
@@ -327,6 +425,7 @@ func (r *Recorder) Timeline() Timeline {
 		return tl
 	}
 	tl.Epochs = make([]EpochStats, last+1)
+	var buf []float64
 	for i := 0; i <= last; i++ {
 		e := r.epochs[i]
 		es := EpochStats{
@@ -334,8 +433,8 @@ func (r *Recorder) Timeline() Timeline {
 			EndNanos:       float64(i+1) * r.epochNanos,
 			Completions:    e.completions,
 			ThroughputMRPS: float64(e.completions) / r.epochNanos * 1000,
-			Latency:        e.lat.Summarize(),
-			Wait:           e.wait.Summarize(),
+			Latency:        e.lat.summarize(&r.latVals, &buf),
+			Wait:           e.wait.summarize(&r.waitVals, &buf),
 			MaxDepth:       e.depthMax,
 		}
 		if e.depthN > 0 {

@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"strings"
 	"testing"
 
+	"rpcvalet/internal/rng"
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/stats"
 )
@@ -199,4 +201,98 @@ func TestEmptyTimeline(t *testing.T) {
 	if len(tl.P99s()) != 0 {
 		t.Fatal("P99s on empty timeline must be empty")
 	}
+}
+
+// sampleTimeline is the reference model of the timeline's order statistics:
+// one stats.Sample pair per epoch, merged with stats.Sample.Merge when the
+// epoch length doubles.
+type sampleTimeline struct {
+	epochNanos float64
+	max        int
+	lat, wait  []*stats.Sample
+}
+
+func (s *sampleTimeline) complete(ns float64, c Completion) {
+	idx := int(ns / s.epochNanos)
+	for idx >= s.max {
+		s.epochNanos *= 2
+		for i := 0; 2*i < len(s.lat); i++ {
+			s.lat[i], s.wait[i] = s.lat[2*i], s.wait[2*i]
+			if 2*i+1 < len(s.lat) {
+				s.lat[i].Merge(s.lat[2*i+1])
+				s.wait[i].Merge(s.wait[2*i+1])
+			}
+		}
+		s.lat, s.wait = s.lat[:(len(s.lat)+1)/2], s.wait[:(len(s.wait)+1)/2]
+		idx = int(ns / s.epochNanos)
+	}
+	for len(s.lat) <= idx {
+		s.lat, s.wait = append(s.lat, &stats.Sample{}), append(s.wait, &stats.Sample{})
+	}
+	if c.Measured && c.LatencyNs >= 0 {
+		s.lat[idx].Add(c.LatencyNs)
+	}
+	if c.WaitNs >= 0 {
+		s.wait[idx].Add(c.WaitNs)
+	}
+}
+
+// TestTimelineMatchesSampleModel feeds random time-ordered completions —
+// with gaps, unmeasured classes and untracked waits — to a Recorder and to
+// the per-epoch stats.Sample model, across many doublings and enough values
+// to span the store's capped chunks, and requires every epoch's latency and
+// wait Summary to be identical.
+func TestTimelineMatchesSampleModel(t *testing.T) {
+	for _, tc := range []struct {
+		n, maxEpochs int
+		gap          float64
+	}{{500, 4, 3}, {20000, 64, 1}, {200000, 16, 0.5}, {3000, 8, 400}} {
+		r := NewRecorder(Config{EpochNanos: 10, MaxEpochs: tc.maxEpochs})
+		ref := &sampleTimeline{epochNanos: 10, max: tc.maxEpochs}
+		src := rng.New(uint64(tc.n))
+		ns := 0.0
+		for i := 0; i < tc.n; i++ {
+			ns += src.Float64() * tc.gap
+			if src.IntN(50) == 0 {
+				ns += tc.gap * 200 // an idle stretch: empty epochs
+			}
+			c := Completion{
+				Measured:  src.IntN(4) != 0,
+				LatencyNs: float64(src.IntN(5000)) + src.Float64(),
+				WaitNs:    float64(src.IntN(300)) - 20, // some untracked (<0)
+				ServiceNs: -1,
+				Depth:     -1,
+			}
+			t0 := at(ns)
+			r.Complete(t0, c)
+			ref.complete(t0.Nanos(), c)
+		}
+		tl := r.Timeline()
+		if tl.EpochNanos != ref.epochNanos {
+			t.Fatalf("n=%d: epoch length %g, model %g", tc.n, tl.EpochNanos, ref.epochNanos)
+		}
+		for i, e := range tl.Epochs {
+			if want := ref.lat[i].Summarize(); e.Latency != want {
+				t.Fatalf("n=%d epoch %d latency %+v, model %+v", tc.n, i, e.Latency, want)
+			}
+			if want := ref.wait[i].Summarize(); e.Wait != want {
+				t.Fatalf("n=%d epoch %d wait %+v, model %+v", tc.n, i, e.Wait, want)
+			}
+		}
+	}
+}
+
+// TestCompleteRejectsTimeGoingBack: epochs are ranges of a store kept in
+// completion order, so an out-of-order completion must fail loudly.
+func TestCompleteRejectsTimeGoingBack(t *testing.T) {
+	r := NewRecorder(Config{})
+	r.Complete(at(100), Completion{Measured: true, LatencyNs: 5, WaitNs: 1, Depth: -1})
+	r.Complete(at(100), Completion{Measured: true, LatencyNs: 6, WaitNs: 1, Depth: -1}) // ties are fine
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "metrics: ") {
+			t.Fatalf("panic = %q, want a metrics: message", msg)
+		}
+	}()
+	r.Complete(at(99), Completion{Measured: true, LatencyNs: 7, WaitNs: 1, Depth: -1})
 }

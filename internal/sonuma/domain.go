@@ -1,6 +1,9 @@
 package sonuma
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Delivery is how a message is carried to the receiver.
 type Delivery int
@@ -44,6 +47,8 @@ func (c DomainConfig) Validate() error {
 		return fmt.Errorf("sonuma: domain needs at least 1 node, got %d", c.Nodes)
 	case c.Slots <= 0:
 		return fmt.Errorf("sonuma: domain needs at least 1 slot per node, got %d", c.Slots)
+	case c.Slots > math.MaxInt32:
+		return fmt.Errorf("sonuma: %d slots per node exceeds %d", c.Slots, math.MaxInt32)
 	case c.MaxMsgSize <= 0:
 		return fmt.Errorf("sonuma: max message size %d must be positive", c.MaxMsgSize)
 	case c.MTU <= 0:
@@ -100,14 +105,16 @@ func (c DomainConfig) SlotOwner(index int) (NodeID, int) {
 	return NodeID(index / c.Slots), index % c.Slots
 }
 
-// FootprintBytes returns the per-node memory footprint of the messaging
-// mechanism, using the paper's formula (§4.2):
+// FootprintBytes returns the per-node memory the paper provisions for the
+// messaging mechanism, using its formula (§4.2):
 //
 //	32·N·S + (max_msg_size + 64)·N·S
 //
 // 32 bytes of send-slot bookkeeping per slot, plus a receive slot sized for
 // the payload and a full cache block for the packet counter (overprovisioned
-// to keep payloads aligned).
+// to keep payloads aligned). This is the modelled hardware's footprint, not
+// what the simulator allocates: SendBuffer keeps S valid bits per
+// destination, and ReceiveBuffer holds state for busy slots only.
 func (c DomainConfig) FootprintBytes() int {
 	ns := c.Nodes * c.Slots
 	return 32*ns + (c.MaxMsgSize+64)*ns

@@ -15,29 +15,114 @@ import (
 	"sort"
 )
 
+// Moments are the running aggregates of a set of observations: count, sum,
+// sum of squares and extremes — everything a Summary needs besides the order
+// statistics. Collectors that store their observations elsewhere keep
+// Moments beside them and fold them exactly as Sample does.
+type Moments struct {
+	N                    int
+	Sum, SumSq, Min, Max float64
+}
+
+// Add folds one observation in.
+func (m *Moments) Add(v float64) {
+	if m.N == 0 || v < m.Min {
+		m.Min = v
+	}
+	if m.N == 0 || v > m.Max {
+		m.Max = v
+	}
+	m.N++
+	m.Sum += v
+	m.SumSq += v * v
+}
+
+// Merge folds o in, as if each of o's observations had been added.
+func (m *Moments) Merge(o Moments) {
+	if o.N == 0 {
+		return
+	}
+	if m.N == 0 || o.Min < m.Min {
+		m.Min = o.Min
+	}
+	if m.N == 0 || o.Max > m.Max {
+		m.Max = o.Max
+	}
+	m.N += o.N
+	m.Sum += o.Sum
+	m.SumSq += o.SumSq
+}
+
+// Mean returns the arithmetic mean, or 0 when empty.
+func (m Moments) Mean() float64 {
+	if m.N == 0 {
+		return 0
+	}
+	return m.Sum / float64(m.N)
+}
+
+// Variance returns the population variance, or 0 when empty.
+func (m Moments) Variance() float64 {
+	n := float64(m.N)
+	if n == 0 {
+		return 0
+	}
+	mean := m.Sum / n
+	v := m.SumSq/n - mean*mean
+	if v < 0 { // floating-point guard
+		return 0
+	}
+	return v
+}
+
+// Summarize builds the Summary of the observations these moments describe;
+// sorted must hold exactly those observations in ascending order.
+func (m Moments) Summarize(sorted []float64) Summary {
+	return Summary{
+		Count:  m.N,
+		Mean:   m.Mean(),
+		Min:    m.Min,
+		Max:    m.Max,
+		P50:    quantile(sorted, 0.50),
+		P90:    quantile(sorted, 0.90),
+		P99:    quantile(sorted, 0.99),
+		P999:   quantile(sorted, 0.999),
+		StdDev: math.Sqrt(m.Variance()),
+	}
+}
+
+// quantile returns the p-quantile of ascending values by the nearest-rank
+// method, or 0 when there are none.
+func quantile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 1 {
+		return sorted[len(sorted)-1]
+	}
+	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	return sorted[rank]
+}
+
 // Sample accumulates float64 observations and computes exact statistics.
 // The zero value is ready to use.
 type Sample struct {
 	values []float64
 	sorted bool
-	sum    float64
-	sumSq  float64
-	min    float64
-	max    float64
+	m      Moments
 }
 
 // Add records one observation.
 func (s *Sample) Add(v float64) {
-	if len(s.values) == 0 || v < s.min {
-		s.min = v
-	}
-	if len(s.values) == 0 || v > s.max {
-		s.max = v
-	}
+	s.m.Add(v)
 	s.values = append(s.values, v)
 	s.sorted = false
-	s.sum += v
-	s.sumSq += v * v
 }
 
 // Grow pre-sizes the sample to hold at least n observations without
@@ -56,38 +141,30 @@ func (s *Sample) Grow(n int) {
 func (s *Sample) Count() int { return len(s.values) }
 
 // Sum returns the running sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
+func (s *Sample) Sum() float64 { return s.m.Sum }
 
 // Mean returns the arithmetic mean, or 0 when empty.
-func (s *Sample) Mean() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	return s.sum / float64(len(s.values))
-}
+func (s *Sample) Mean() float64 { return s.m.Mean() }
 
 // Variance returns the population variance, or 0 when empty.
-func (s *Sample) Variance() float64 {
-	n := float64(len(s.values))
-	if n == 0 {
-		return 0
-	}
-	m := s.sum / n
-	v := s.sumSq/n - m*m
-	if v < 0 { // floating-point guard
-		return 0
-	}
-	return v
-}
+func (s *Sample) Variance() float64 { return s.m.Variance() }
 
 // StdDev returns the population standard deviation.
 func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // Min returns the smallest observation, or 0 when empty.
-func (s *Sample) Min() float64 { return s.min }
+func (s *Sample) Min() float64 { return s.m.Min }
 
 // Max returns the largest observation, or 0 when empty.
-func (s *Sample) Max() float64 { return s.max }
+func (s *Sample) Max() float64 { return s.m.Max }
+
+// sort orders the observations in place, once per batch of Adds.
+func (s *Sample) sort() {
+	if !s.sorted {
+		sort.Float64s(s.values)
+		s.sorted = true
+	}
+}
 
 // Quantile returns the p-quantile (0 ≤ p ≤ 1) using the nearest-rank method
 // on the sorted observations. It returns 0 when the sample is empty.
@@ -95,21 +172,8 @@ func (s *Sample) Quantile(p float64) float64 {
 	if len(s.values) == 0 {
 		return 0
 	}
-	if !s.sorted {
-		sort.Float64s(s.values)
-		s.sorted = true
-	}
-	if p <= 0 {
-		return s.values[0]
-	}
-	if p >= 1 {
-		return s.values[len(s.values)-1]
-	}
-	rank := int(math.Ceil(p*float64(len(s.values)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return s.values[rank]
+	s.sort()
+	return quantile(s.values, p)
 }
 
 // P99 is shorthand for Quantile(0.99), the paper's tail-latency metric.
@@ -122,7 +186,7 @@ func (s *Sample) P50() float64 { return s.Quantile(0.50) }
 func (s *Sample) Reset() {
 	s.values = s.values[:0]
 	s.sorted = false
-	s.sum, s.sumSq, s.min, s.max = 0, 0, 0, 0
+	s.m = Moments{}
 }
 
 // Values returns a copy of the recorded observations (sorted if a quantile
@@ -141,16 +205,9 @@ func (s *Sample) Merge(o *Sample) {
 	if o == nil || len(o.values) == 0 {
 		return
 	}
-	if len(s.values) == 0 || o.min < s.min {
-		s.min = o.min
-	}
-	if len(s.values) == 0 || o.max > s.max {
-		s.max = o.max
-	}
+	s.m.Merge(o.m)
 	s.values = append(s.values, o.values...)
 	s.sorted = false
-	s.sum += o.sum
-	s.sumSq += o.sumSq
 }
 
 // Summary is a compact set of tail statistics, suitable for tables.
@@ -164,17 +221,8 @@ type Summary struct {
 
 // Summarize computes a Summary from the sample.
 func (s *Sample) Summarize() Summary {
-	return Summary{
-		Count:  s.Count(),
-		Mean:   s.Mean(),
-		Min:    s.Min(),
-		Max:    s.Max(),
-		P50:    s.Quantile(0.50),
-		P90:    s.Quantile(0.90),
-		P99:    s.Quantile(0.99),
-		P999:   s.Quantile(0.999),
-		StdDev: s.StdDev(),
-	}
+	s.sort()
+	return s.m.Summarize(s.values)
 }
 
 func (m Summary) String() string {
