@@ -59,16 +59,15 @@ func (t *SlotTable[V]) Get(slot int) *V {
 // Put returns the state of slot and whether the slot was already busy; an
 // idle slot is first marked busy with a zero value.
 func (t *SlotTable[V]) Put(slot int) (v *V, busy bool) {
-	if i := t.find(slot); i >= 0 {
-		return &t.buckets[i].val, true
-	}
 	if 2*(t.n+1) > len(t.buckets) {
 		t.grow()
 	}
 	mask := len(t.buckets) - 1
 	i := t.home(slot)
-	for t.buckets[i].key != 0 {
-		i = (i + 1) & mask
+	for ; t.buckets[i].key != 0; i = (i + 1) & mask {
+		if t.buckets[i].key == slot+1 {
+			return &t.buckets[i].val, true
+		}
 	}
 	t.buckets[i].key = slot + 1
 	t.n++
