@@ -7,10 +7,12 @@
 //
 // Each entry also carries its provenance, so a comparison can tell a code
 // change from a host change: the `cpu:` line `go test` prints before the
-// benchmarks, the GOMAXPROCS the benchmark ran at (the `-N` suffix `go test`
-// appends to its name, absent at 1), and the Go version. The Go version is
-// this program's own runtime.Version(): `go run ./cmd/benchjson` builds it
-// with the same toolchain that ran the benchmarks.
+// benchmarks, the host's CPU count, the GOMAXPROCS the benchmark ran at (the
+// `-N` suffix `go test` appends to its name, absent at 1), the Go version
+// and the commit. The Go version is this program's own runtime.Version():
+// `go run ./cmd/benchjson` builds it with the same toolchain that ran the
+// benchmarks. The commit is the working directory's HEAD, "unknown" outside
+// a git checkout.
 //
 // Usage:
 //
@@ -23,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
@@ -35,8 +38,20 @@ type Entry struct {
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 	CPU        string             `json:"cpu,omitempty"`
+	NProc      int                `json:"nproc,omitempty"`
 	GOMAXPROCS int                `json:"gomaxprocs,omitempty"`
 	GoVersion  string             `json:"go_version,omitempty"`
+	Commit     string             `json:"commit,omitempty"`
+}
+
+// gitCommit is the commit checked out in dir, "unknown" when dir is not in a
+// git checkout (or git is missing).
+func gitCommit(dir string) string {
+	out, err := exec.Command("git", "-C", dir, "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
 }
 
 // splitProcs splits the `-N` GOMAXPROCS suffix off a benchmark name; a name
@@ -50,8 +65,9 @@ func splitProcs(name string) (string, int) {
 	return name, 1
 }
 
-// parse reads `go test -bench` output and returns one Entry per result line.
-func parse(r io.Reader) ([]Entry, error) {
+// parse reads `go test -bench` output and returns one Entry per result line,
+// each stamped with this host's provenance and commit.
+func parse(r io.Reader, commit string) ([]Entry, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	entries := []Entry{}
@@ -85,8 +101,10 @@ func parse(r io.Reader) ([]Entry, error) {
 			Iterations: iters,
 			Metrics:    map[string]float64{},
 			CPU:        cpu,
+			NProc:      runtime.NumCPU(),
 			GOMAXPROCS: procs,
 			GoVersion:  runtime.Version(),
+			Commit:     commit,
 		}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -101,7 +119,7 @@ func parse(r io.Reader) ([]Entry, error) {
 }
 
 func main() {
-	entries, err := parse(os.Stdin)
+	entries, err := parse(os.Stdin, gitCommit("."))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ PASS
 pkg: rpcvalet
 BenchmarkFigHier-8   	       1	5647880035 ns/op	         1.000 claims_ok_ratio
 `
-	got, err := parse(strings.NewReader(out))
+	got, err := parse(strings.NewReader(out), "0123abc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +35,10 @@ BenchmarkFigHier-8   	       1	5647880035 ns/op	         1.000 claims_ok_ratio
 	}
 	for i, w := range want {
 		g := got[i]
-		w.CPU, w.GoVersion = "Intel(R) Xeon(R) Processor", runtime.Version()
-		if g.Name != w.Name || g.Package != w.Package || g.Iterations != w.Iterations ||
-			g.CPU != w.CPU || g.GOMAXPROCS != w.GOMAXPROCS || g.GoVersion != w.GoVersion || len(g.Metrics) != len(w.Metrics) {
+		w.CPU, w.NProc, w.GoVersion, w.Commit = "Intel(R) Xeon(R) Processor", runtime.NumCPU(), runtime.Version(), "0123abc"
+		if g.Name != w.Name || g.Package != w.Package || g.Iterations != w.Iterations || g.CPU != w.CPU ||
+			g.NProc != w.NProc || g.GOMAXPROCS != w.GOMAXPROCS || g.GoVersion != w.GoVersion || g.Commit != w.Commit ||
+			len(g.Metrics) != len(w.Metrics) {
 			t.Fatalf("entry %d = %+v, want %+v", i, g, w)
 		}
 		for m, v := range w.Metrics {
@@ -44,5 +46,17 @@ BenchmarkFigHier-8   	       1	5647880035 ns/op	         1.000 claims_ok_ratio
 				t.Fatalf("entry %d metric %s = %v, want %v", i, m, g.Metrics[m], v)
 			}
 		}
+	}
+}
+
+// TestGitCommit: a directory outside any git checkout reads "unknown"; this
+// package's own directory reads a full hash, or "unknown" when the sources
+// were copied out of their checkout.
+func TestGitCommit(t *testing.T) {
+	if got := gitCommit(t.TempDir()); got != "unknown" {
+		t.Fatalf("gitCommit(temp dir) = %q, want unknown", got)
+	}
+	if got := gitCommit("."); got != "unknown" && !regexp.MustCompile(`^[0-9a-f]{40,64}$`).MatchString(got) {
+		t.Fatalf("gitCommit(.) = %q, want a commit hash or unknown", got)
 	}
 }

@@ -435,7 +435,7 @@ func (r *runner) recv(arg any) {
 // engine for the same instant.
 func (r *runner) forward(p *part, q *req, d sim.Duration, cut bool, fn func(any)) {
 	if !cut {
-		p.eng.ScheduleArg(d, fn, q)
+		p.eng.ScheduleArgFixed(d, fn, q)
 		return
 	}
 	p.out.Send(p.eng.Now().Add(d), q.id, *q)

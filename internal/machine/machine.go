@@ -46,6 +46,14 @@ type request struct {
 	refs      int      // trailing events still holding this request
 }
 
+// cqCompactAfter is the compaction threshold of a core's private CQ. A CQ
+// usually holds no more than the plan's outstanding threshold (2 by
+// default), so it starts empty and reclaims its consumed prefix after a few
+// pops, and its backing array stays a few slots long. Pre-sizing every CQ to
+// the threshold plus the default prefix would dominate the cost of building
+// a large cluster.
+const cqCompactAfter = 8
+
 // core is one serving core's state. Busy-time accounting lives in the
 // machine's metrics.Recorder, keyed by core ID.
 type core struct {
@@ -314,17 +322,14 @@ func build(cfg Config, eng *sim.Engine, external bool) (*Machine, error) {
 
 	m.bindCallbacks()
 
-	// Pre-size the steady-state queues so warmup is the only growth phase:
+	// Pre-size the idle-core list so warmup is its only growth phase:
 	// occupancy bound plus the compaction threshold's consumed prefix.
+	// Private CQs start empty (see cqCompactAfter).
 	const margin = fifo.DefaultCompactAfter + 2
 	m.swQueue.CompactAfter = 1024
-	cqDepth := m.plan.threshold
-	if cqDepth > p.Domain.TotalSlots() {
-		cqDepth = p.Domain.TotalSlots()
-	}
 	for i := 0; i < p.Cores; i++ {
 		c := &core{id: i, tile: p.Mesh.TileCoord(i)}
-		c.cq.Grow(cqDepth + margin)
+		c.cq.CompactAfter = cqCompactAfter
 		m.cores = append(m.cores, c)
 	}
 	m.idleCores.Grow(p.Cores + margin)
@@ -646,7 +651,7 @@ func (m *Machine) ingested(arg any) {
 			panic("machine: receive counter out of sync")
 		}
 	}
-	m.eng.ScheduleArg(m.p.MemWrite, m.fnArrived, req)
+	m.eng.ScheduleArgFixed(m.p.MemWrite, m.fnArrived, req)
 }
 
 // arrived stamps the measurement start and routes the completion token.
@@ -663,13 +668,13 @@ func (m *Machine) routeCompletion(req *request, b int) {
 	if m.plan.software {
 		// The NI appends directly to the shared in-memory queue.
 		wire := m.p.CQEDeliver + m.p.Mem.LLC(2, m.p.Mesh.HopLatency())
-		m.eng.ScheduleArg(wire, m.fnSWEnqueue, req)
+		m.eng.ScheduleArgFixed(wire, m.fnSWEnqueue, req)
 		return
 	}
 	di := m.dispatcherFor(req, b)
 	req.disp = di
 	wire := m.p.Mesh.Latency(m.backendTile[b], m.dispTile[di], ctrlBytes) + m.p.DispatchExtra
-	m.eng.ScheduleArg(wire, m.fnRouteWire, req)
+	m.eng.ScheduleArgFixed(wire, m.fnRouteWire, req)
 }
 
 // routeWire runs when the completion token reaches its dispatcher tile.
@@ -718,7 +723,7 @@ func (m *Machine) deliver(di int, d ni.Dispatch) {
 	m.record(req.id, trace.PhaseDispatch, d.Core, -1)
 	req.core = c
 	wire := m.p.Mesh.Latency(m.dispTile[di], c.tile, ctrlBytes) + m.p.CQEDeliver
-	m.eng.ScheduleArg(wire, m.fnDelivered, req)
+	m.eng.ScheduleArgFixed(wire, m.fnDelivered, req)
 }
 
 // delivered lands a dispatched message in its core's private CQ; an idle
@@ -820,7 +825,7 @@ func (m *Machine) complete(req *request, replySlot int) {
 	}
 	m.reqBySlot.Delete(req.slot)
 	m.inflightCount--
-	m.eng.ScheduleArg(m.p.NetRTT/2, m.fnReplenish, req)
+	m.eng.ScheduleArgFixed(m.p.NetRTT/2, m.fnReplenish, req)
 
 	// Tell the dispatcher this core finished one request. The argument is
 	// the core, not the request: by the time these events fire the request
@@ -828,7 +833,7 @@ func (m *Machine) complete(req *request, replySlot int) {
 	if !m.plan.software {
 		di := m.coreDisp[c.id]
 		wire := m.p.WQERead + m.p.Mesh.Latency(c.tile, m.dispTile[di], ctrlBytes) + m.p.DispatchExtra
-		m.eng.ScheduleArg(wire, m.fnNotifyWire, c)
+		m.eng.ScheduleArgFixed(wire, m.fnNotifyWire, c)
 	}
 
 	// The core rolls onto queued work, or goes idle.
@@ -843,7 +848,7 @@ func (m *Machine) complete(req *request, replySlot int) {
 // replySent runs when the reply's packets have left the backend: the remote
 // node consumes them and the send-slot credit returns a round trip later.
 func (m *Machine) replySent(arg any) {
-	m.eng.ScheduleArg(m.p.NetRTT, m.fnReplyCredit, arg)
+	m.eng.ScheduleArgFixed(m.p.NetRTT, m.fnReplyCredit, arg)
 }
 
 // replyCredit returns the reply send-slot credit and unblocks a core stalled

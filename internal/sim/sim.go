@@ -8,9 +8,15 @@
 // (500 ps) exactly, and wide enough (int64) for about 100 days of simulated
 // time.
 //
-// The engine is intentionally minimal: a d-ary heap of timestamped events
-// with deterministic FIFO ordering for ties. Determinism is a design goal —
-// two runs with the same inputs execute events in exactly the same order.
+// The engine is intentionally minimal: timestamped events fire in (time,
+// seq) order, seq being the order they were scheduled in, so ties are FIFO.
+// Events wait in a 4-ary heap, except those scheduled with
+// Engine.ScheduleArgFixed: each of up to 32 fixed delays gets a FIFO lane,
+// which is sorted by construction, and the engine fires the earlier of the
+// heap top and the lane heads. Because (time, seq) is a strict total order,
+// where an event waits cannot change when it fires. Determinism is a design
+// goal — two runs with the same inputs execute events in exactly the same
+// order.
 package sim
 
 import (
@@ -129,9 +135,10 @@ type Event struct {
 	// this firing. Splitting the callback this way keeps per-event closure
 	// allocation off the simulation hot path: boxing a pointer-shaped arg
 	// into the interface field allocates nothing.
-	afn  func(any)
-	arg  any
-	idx  int // heap index, -1 when not queued
+	afn func(any)
+	arg any
+	// dead marks an event that fired, or that was cancelled and waits in
+	// the heap until it reaches the top and is recycled.
 	dead bool
 }
 
@@ -162,11 +169,9 @@ func (q eventQueue) siftUp(i int) {
 			break
 		}
 		q[i] = pe
-		pe.idx = i
 		i = p
 	}
 	q[i] = ev
-	ev.idx = i
 }
 
 // siftDown moves q[i] toward the leaves, swapping with its smallest child
@@ -195,25 +200,21 @@ func (q eventQueue) siftDown(i int) {
 			break
 		}
 		q[i] = me
-		me.idx = i
 		i = m
 	}
 	q[i] = ev
-	ev.idx = i
 }
 
 // push appends ev and restores heap order.
 func (e *Engine) push(ev *Event) {
-	ev.idx = len(e.queue)
 	e.queue = append(e.queue, ev)
-	e.queue.siftUp(ev.idx)
+	e.queue.siftUp(len(e.queue) - 1)
 }
 
 // pop removes and returns the minimum event.
 func (e *Engine) pop() *Event {
 	q := e.queue
 	top := q[0]
-	top.idx = -1
 	n := len(q) - 1
 	last := q[n]
 	q[n] = nil
@@ -221,38 +222,87 @@ func (e *Engine) pop() *Event {
 	e.queue = q
 	if n > 0 {
 		q[0] = last
-		last.idx = 0
 		q.siftDown(0)
 	}
 	return top
 }
 
-// remove deletes the event at heap index i (for Cancel).
-func (e *Engine) remove(i int) {
-	q := e.queue
-	n := len(q) - 1
-	q[i].idx = -1
-	last := q[n]
-	q[n] = nil
-	e.queue = q[:n]
-	if i < n {
-		q = e.queue
-		q[i] = last
-		last.idx = i
-		q.siftDown(i)
-		if q[i] == last {
-			q.siftUp(i)
-		}
+// Lanes: at most maxLanes distinct fixed delays get a FIFO lane each, found
+// through an open-addressed table of laneSlots entries keyed by the delay.
+// The table is twice the cap, so a probe stays short even when every lane
+// is taken.
+const (
+	laneBits  = 6
+	laneSlots = 1 << laneBits
+	maxLanes  = laneSlots / 2
+)
+
+// laneEvent is one event queued in a lane, held by value.
+type laneEvent struct {
+	at  Time
+	seq uint64
+	fn  func(any)
+	arg any
+}
+
+// lane is a FIFO ring of the events scheduled with one fixed delay d. Each
+// is queued at now+d with the next sequence number, and neither ever
+// decreases, so a lane is always in (at, seq) order and its head is its
+// minimum.
+type lane struct {
+	d Duration
+	// at and seq copy the head's key while n > 0, so the scan for the
+	// earliest head reads lane structs only, not their rings.
+	at      Time
+	seq     uint64
+	buf     []laneEvent // ring; its length is zero or a power of two
+	head, n int
+}
+
+// push appends v, doubling the ring when it is full.
+func (l *lane) push(v laneEvent) {
+	if l.n == len(l.buf) {
+		buf := make([]laneEvent, max(16, 2*len(l.buf)))
+		k := copy(buf, l.buf[l.head:])
+		copy(buf[k:], l.buf[:l.head])
+		l.buf, l.head = buf, 0
 	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = v
+	if l.n == 0 {
+		l.at, l.seq = v.at, v.seq
+	}
+	l.n++
+}
+
+// pop removes and returns the head of a non-empty lane.
+func (l *lane) pop() laneEvent {
+	v := l.buf[l.head]
+	l.buf[l.head] = laneEvent{} // drop the arg for the garbage collector
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	if l.n > 0 {
+		h := &l.buf[l.head]
+		l.at, l.seq = h.at, h.seq
+	}
+	return v
 }
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 // Engine is not safe for concurrent use; an entire simulation runs on one
 // goroutine, which is what keeps it deterministic.
 type Engine struct {
-	now     Time
-	queue   eventQueue
-	free    []*Event // fired/cancelled events awaiting reuse
+	now       Time
+	queue     eventQueue
+	cancelled int      // cancelled events still in queue
+	free      []*Event // fired/cancelled events awaiting reuse
+	// lanes hold the ScheduleArgFixed events, one lane per delay, in
+	// creation order; the backing array is allocated at full cap once, so
+	// pointers into it stay valid. laneAt maps a delay's hash slot to its
+	// lane index plus one (0: empty). minLane is the non-empty lane with the
+	// earliest head, nil when every lane is empty.
+	lanes   []lane
+	laneAt  [laneSlots]uint8
+	minLane *lane
 	seq     uint64
 	fired   uint64
 	stopped bool
@@ -268,7 +318,14 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are scheduled but not yet executed.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Cancelled events are not counted.
+func (e *Engine) Pending() int {
+	n := len(e.queue) - e.cancelled
+	for i := range e.lanes {
+		n += e.lanes[i].n
+	}
+	return n
+}
 
 // Schedule runs fn after delay d (relative to the current time). A negative
 // delay is treated as zero. It returns the Event, which may be passed to
@@ -309,6 +366,52 @@ func (e *Engine) ScheduleArgAt(t Time, fn func(any), arg any) *Event {
 	return ev
 }
 
+// ScheduleArgFixed is ScheduleArg for a delay the caller schedules over and
+// over — a wire, a round trip, a memory write — and fires the event exactly
+// when ScheduleArg would. Events with the same delay queue in one FIFO lane
+// instead of the heap, which the lane's order makes free: each is due no
+// earlier than the one before it. The first maxLanes distinct delays get a
+// lane; later ones go to the heap. A lane event cannot be cancelled, so no
+// Event is returned.
+func (e *Engine) ScheduleArgFixed(d Duration, fn func(any), arg any) {
+	if d < 0 {
+		d = 0
+	}
+	l := e.lane(d)
+	if l == nil {
+		e.ScheduleArg(d, fn, arg)
+		return
+	}
+	at := e.now.Add(d)
+	l.push(laneEvent{at: at, seq: e.seq, fn: fn, arg: arg})
+	e.seq++
+	// Only a lane that was empty gets a new head. Its seq is the newest, so
+	// it leads the current earliest head only by an earlier time.
+	if l.n == 1 && (e.minLane == nil || at < e.minLane.at) {
+		e.minLane = l
+	}
+}
+
+// lane returns the lane for delay d, creating it on first use, or nil when
+// maxLanes other delays hold every lane.
+func (e *Engine) lane(d Duration) *lane {
+	i := uint64(d) * 0x9E3779B97F4A7C15 >> (64 - laneBits)
+	for ; e.laneAt[i] != 0; i = (i + 1) % laneSlots {
+		if l := &e.lanes[e.laneAt[i]-1]; l.d == d {
+			return l
+		}
+	}
+	if len(e.lanes) == maxLanes {
+		return nil
+	}
+	if e.lanes == nil {
+		e.lanes = make([]lane, 0, maxLanes)
+	}
+	e.lanes = append(e.lanes, lane{d: d})
+	e.laneAt[i] = uint8(len(e.lanes))
+	return &e.lanes[len(e.lanes)-1]
+}
+
 // next recycles (or allocates) an Event at time t and queues it with the
 // next FIFO sequence number; the caller fills in the callback fields.
 func (e *Engine) next(t Time) *Event {
@@ -329,18 +432,19 @@ func (e *Engine) next(t Time) *Event {
 	return ev
 }
 
-// Cancel removes a scheduled event. Cancelling an event that already fired or
-// was already cancelled is a no-op as long as the struct has not been
-// recycled by a later Schedule (see Event). It reports whether the event was
-// actually descheduled by this call.
+// Cancel deschedules a pending event: it will not fire, and Pending no
+// longer counts it. Cancelling an event that already fired or was already
+// cancelled is a no-op as long as the struct has not been recycled by a
+// later Schedule (see Event). It reports whether the event was actually
+// descheduled by this call. The event stays in the heap, marked dead, and is
+// recycled once it reaches the top.
 func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.dead || ev.idx < 0 {
+	if ev == nil || ev.dead {
 		return false
 	}
 	ev.dead = true
-	e.remove(ev.idx)
 	ev.fn, ev.afn, ev.arg = nil, nil, nil
-	e.free = append(e.free, ev)
+	e.cancelled++
 	return true
 }
 
@@ -348,15 +452,44 @@ func (e *Engine) Cancel(ev *Event) bool {
 // completes. Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Step executes the single earliest pending event. It reports false when the
-// queue is empty.
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
+// earliest finds the next event to fire: the smaller, by (time, seq), of the
+// heap top and the earliest lane head. It returns the event's time and its
+// lane, nil for the heap top; ok is false when nothing is pending.
+// Cancelled events reaching the heap top are recycled on the way.
+func (e *Engine) earliest() (at Time, l *lane, ok bool) {
+	for len(e.queue) > 0 && e.queue[0].dead {
+		e.free = append(e.free, e.pop())
+		e.cancelled--
+	}
+	l = e.minLane
+	if len(e.queue) > 0 {
+		top := e.queue[0]
+		if l == nil {
+			return top.at, nil, true
+		}
+		if top.at < l.at || (top.at == l.at && top.seq < l.seq) {
+			return top.at, nil, true
+		}
+	}
+	if l == nil {
+		return 0, nil, false
+	}
+	return l.at, l, true
+}
+
+// fire executes the event earliest found: the head of lane l, or the heap
+// top when l is nil.
+func (e *Engine) fire(l *lane) {
+	e.fired++
+	if l != nil {
+		v := l.pop()
+		e.minLane = e.earliestLane()
+		e.now = v.at
+		v.fn(v.arg)
+		return
 	}
 	ev := e.pop()
 	e.now = ev.at
-	e.fired++
 	ev.dead = true
 	fn, afn, arg := ev.fn, ev.afn, ev.arg
 	ev.fn, ev.afn, ev.arg = nil, nil, nil
@@ -366,7 +499,35 @@ func (e *Engine) Step() bool {
 	} else {
 		fn()
 	}
-	return true
+}
+
+// earliestLane scans the lanes for the non-empty one with the earliest head.
+func (e *Engine) earliestLane() *lane {
+	var m *lane
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		if m == nil {
+			m = l
+			continue
+		}
+		if l.at < m.at || (l.at == m.at && l.seq < m.seq) {
+			m = l
+		}
+	}
+	return m
+}
+
+// Step executes the single earliest pending event. It reports false when
+// nothing is pending.
+func (e *Engine) Step() bool {
+	_, l, ok := e.earliest()
+	if ok {
+		e.fire(l)
+	}
+	return ok
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -381,8 +542,12 @@ func (e *Engine) Run() {
 // exactly at the deadline do fire.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
+	for !e.stopped {
+		at, l, ok := e.earliest()
+		if !ok || at > deadline {
+			break
+		}
+		e.fire(l)
 	}
 	if e.now < deadline {
 		e.now = deadline
