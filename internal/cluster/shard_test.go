@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rpcvalet/internal/machine"
@@ -124,6 +127,33 @@ func TestShardedDeterminism(t *testing.T) {
 	c.Seed = 2
 	if other := run(t, c); other.Latency == a.Latency {
 		t.Fatal("different seeds produced identical sharded results")
+	}
+}
+
+// TestShardedDeterminismAcrossGOMAXPROCS: the sharded rows of
+// TestRunnerGolden, flat and two-tier, produce the same digest of Result
+// and trace stream whether the shards' goroutines share one OS thread, two,
+// or every CPU. The old GOMAXPROCS is restored afterwards.
+func TestShardedDeterminismAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	digest := func(cfg Config) string {
+		h := sha256.New()
+		cfg.Trace = trace.Func(func(e trace.Event) { fmt.Fprintf(h, "%#v\n", e) })
+		fmt.Fprintf(h, "%#v\n", run(t, cfg))
+		return hex.EncodeToString(h.Sum(nil)[:8])
+	}
+	for _, twoTier := range []bool{false, true} {
+		want := ""
+		for _, procs := range []int{1, 2, runtime.NumCPU()} {
+			runtime.GOMAXPROCS(procs)
+			got := digest(goldenConfig(twoTier, true, false))
+			if want == "" {
+				want = got
+			}
+			if got != want {
+				t.Fatalf("two-tier=%v: GOMAXPROCS %d gave digest %s, GOMAXPROCS 1 gave %s", twoTier, procs, got, want)
+			}
+		}
 	}
 }
 

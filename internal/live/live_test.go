@@ -1,6 +1,8 @@
 package live
 
 import (
+	"cmp"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,6 +220,24 @@ func TestParseEmulation(t *testing.T) {
 	if _, err := ParseEmulation("warp"); err == nil {
 		t.Fatal("bad emulation accepted")
 	}
+}
+
+// FuzzParseEmulation: no input panics, a refused name gets a live: error,
+// and every accepted name prints back to itself. The empty string is the
+// flag's unset value and reads as auto.
+func FuzzParseEmulation(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		e, err := ParseEmulation(s)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "live: ") {
+				t.Fatalf("%q: error %q lacks the live: prefix", s, err)
+			}
+			return
+		}
+		if want := cmp.Or(s, "auto"); e.String() != want {
+			t.Fatalf("%q parses to %v, which prints as %q", s, e, e.String())
+		}
+	})
 }
 
 // BenchmarkLiveShapes is the live counterpart of the figure benchmarks: one

@@ -6,11 +6,11 @@
 // A Recorder collects two views of the same run:
 //
 //   - Summary statistics over the measurement window (warmup excluded):
-//     the headline latency sample, per-class latencies, pre-service wait,
-//     per-request service occupancy, and per-server busy time. These are
-//     exactly the collectors the simulators historically kept inline, fed
-//     the same values in the same order, so refactoring onto the Recorder
-//     is byte-identical for every existing result field.
+//     the headline latency, per-class latencies, pre-service wait, mean
+//     per-request service occupancy, and per-server busy time. They equal
+//     the stats.Sample collectors the simulators historically kept inline,
+//     fed the same values in the same order, so every existing result field
+//     is byte-identical.
 //
 //   - An epoch-sliced timeline over the whole run (warmup included): virtual
 //     time is cut into fixed-length epochs, and each epoch accumulates its
@@ -24,20 +24,24 @@
 // stays a fixed number of rows for any run length while every recorded
 // observation remains attributed to the slice containing it. Note the bound
 // is on slice count, not bytes: epochs keep exact order statistics, so total
-// memory scales with the completion count — the same order as the summary
-// samples the simulators have always kept (each observation is stored
-// twice). Because completions arrive in time order, each epoch's latency
-// and wait observations are one contiguous range of a per-series store kept
-// in completion order; merging two epochs joins two adjacent ranges and
-// copies no values, and the store grows in chunks it never moves. The whole
-// layer is deterministic — it consumes no randomness and allocates no state
-// that depends on wall-clock time — so identical simulations produce
-// identical Timelines.
+// memory scales with the completion count.
+//
+// Each latency and wait observation is stored once. Because completions
+// arrive in time order, each epoch's observations are one contiguous range
+// of a per-series store kept in completion order, and so are the
+// measurement window's; merging two epochs joins two adjacent ranges and
+// copies no values, and the store grows in chunks it never moves. A summary
+// copies its range into a scratch buffer the Recorder keeps, exactly the
+// size of the largest range summarized so far, and selects the percentiles
+// there (stats.Moments.Summarize), leaving the store in completion order.
+// Per-class latencies, which no epoch slices, keep their own stats.Sample.
+// The whole layer is deterministic — it consumes no randomness and
+// allocates no state that depends on wall-clock time — so identical
+// simulations produce identical Timelines.
 package metrics
 
 import (
 	"fmt"
-	"sort"
 
 	"rpcvalet/internal/sim"
 	"rpcvalet/internal/stats"
@@ -66,9 +70,9 @@ type Config struct {
 	// MaxEpochs bounds the number of epoch slices (0 = DefaultMaxEpochs;
 	// values below 2 are raised to 2 so doubling can make progress).
 	MaxEpochs int
-	// Expect pre-sizes the summary samples for a run expected to record
-	// about this many completions, so steady-state recording never grows a
-	// slice. Zero leaves the samples growing on demand.
+	// Expect pre-sizes the per-class latency samples for a run expected to
+	// record about this many completions, so steady-state recording never
+	// grows them. Zero leaves them growing on demand.
 	Expect int
 }
 
@@ -114,37 +118,35 @@ func (s *valueStore) add(v float64) {
 	s.n++
 }
 
-// appendRange appends the n values starting at position off to dst.
-func (s *valueStore) appendRange(dst []float64, off, n int) []float64 {
+// copyRange fills dst with the len(dst) values starting at position off.
+func (s *valueStore) copyRange(dst []float64, off int) {
 	for _, c := range s.chunks {
-		if n == 0 {
+		if len(dst) == 0 {
 			break
 		}
 		if off >= len(c) {
 			off -= len(c)
 			continue
 		}
-		k := min(n, len(c)-off)
-		dst = append(dst, c[off:off+k]...)
-		off, n = 0, n-k
+		k := copy(dst, c[off:])
+		dst, off = dst[k:], 0
 	}
-	return dst
 }
 
-// series is one epoch's share of a valueStore: the m.N values from position
-// off, and their moments.
+// series is one epoch's or the measurement window's share of a valueStore:
+// the m.N values from position off, and their moments.
 type series struct {
 	off int
 	m   stats.Moments
 }
 
-// record appends v to the store as the newest value of se. Values arrive in
-// time order, so se's range is the store's tail whenever it grows.
-func (se *series) record(s *valueStore, v float64) {
+// note counts v, about to be appended to the store at position pos, as the
+// newest value of se. Values arrive in time order, so se's range is the
+// store's tail whenever it grows.
+func (se *series) note(pos int, v float64) {
 	if se.m.N == 0 {
-		se.off = s.n
+		se.off = pos
 	}
-	s.add(v)
 	se.m.Add(v)
 }
 
@@ -157,12 +159,12 @@ func (se *series) merge(o series) {
 	se.m.Merge(o.m)
 }
 
-// summarize sorts se's values into the scratch buffer *buf and summarizes
-// them exactly as stats.Sample.Summarize would.
-func (se *series) summarize(s *valueStore, buf *[]float64) stats.Summary {
-	*buf = s.appendRange((*buf)[:0], se.off, se.m.N)
-	sort.Float64s(*buf)
-	return se.m.Summarize(*buf)
+// summarize copies se's values into buf, whose capacity must be at least
+// se.m.N, and summarizes them exactly as stats.Sample.Summarize would.
+func (se *series) summarize(s *valueStore, buf []float64) stats.Summary {
+	buf = buf[:se.m.N]
+	s.copyRange(buf, se.off)
+	return se.m.Summarize(buf)
 }
 
 // epoch is one timeline slice's accumulators.
@@ -196,17 +198,23 @@ type Recorder struct {
 	cfg        Config
 	epochNanos float64
 	epochs     []*epoch
-	// The epochs' latency and wait observations, in completion order, and
-	// the newest completion time, which Complete requires to never go back.
+	// Every latency and wait observation, in completion order, and the
+	// newest completion time, which Complete requires to never go back.
 	latVals, waitVals valueStore
 	last              sim.Time
 
-	// Summary collectors (measurement window only).
-	latency, wait, svc stats.Sample
-	class              []stats.Sample
-	busyTotal          []sim.Duration
-	winStart, winEnd   sim.Time
-	inWindow           bool
+	// Summary collectors (measurement window only). latency and wait are
+	// the window's ranges of latVals and waitVals.
+	latency, wait    series
+	svc              stats.Moments
+	class            []stats.Sample
+	busyTotal        []sim.Duration
+	winStart, winEnd sim.Time
+	inWindow         bool
+
+	// scratch is the summaries' copy buffer: exactly the size of the
+	// largest range summarized so far.
+	scratch []float64
 }
 
 // NewRecorder builds a Recorder for one run.
@@ -227,9 +235,6 @@ func NewRecorder(cfg Config) *Recorder {
 		busyTotal:  make([]sim.Duration, cfg.Servers),
 	}
 	if cfg.Expect > 0 {
-		r.latency.Grow(cfg.Expect)
-		r.wait.Grow(cfg.Expect)
-		r.svc.Grow(cfg.Expect)
 		for i := range r.class {
 			r.class[i].Grow(cfg.Expect)
 		}
@@ -238,7 +243,12 @@ func NewRecorder(cfg Config) *Recorder {
 }
 
 // OpenWindow starts the summary measurement window at time t (after warmup).
+// A run has one window: its latency and wait observations must stay one
+// range of the stores, so reopening a window that recorded any panics.
 func (r *Recorder) OpenWindow(t sim.Time) {
+	if !r.inWindow && r.latency.m.N+r.wait.m.N > 0 {
+		panic("metrics: reopening a measurement window that recorded observations")
+	}
 	r.winStart = t
 	r.inWindow = true
 }
@@ -296,27 +306,29 @@ func (r *Recorder) Complete(t sim.Time, c Completion) {
 		panic(fmt.Sprintf("metrics: completion at %v before the previous one at %v", t, r.last))
 	}
 	r.last = t
-	if r.inWindow {
-		if c.Measured && c.LatencyNs >= 0 {
-			r.latency.Add(c.LatencyNs)
+	e := r.epochAt(t)
+	e.completions++
+	if c.Measured && c.LatencyNs >= 0 {
+		if r.inWindow {
+			r.latency.note(r.latVals.n, c.LatencyNs)
 		}
+		e.lat.note(r.latVals.n, c.LatencyNs)
+		r.latVals.add(c.LatencyNs)
+	}
+	if c.WaitNs >= 0 {
+		if r.inWindow {
+			r.wait.note(r.waitVals.n, c.WaitNs)
+		}
+		e.wait.note(r.waitVals.n, c.WaitNs)
+		r.waitVals.add(c.WaitNs)
+	}
+	if r.inWindow {
 		if c.Class >= 0 && c.Class < len(r.class) && c.LatencyNs >= 0 {
 			r.class[c.Class].Add(c.LatencyNs)
 		}
 		if c.ServiceNs >= 0 {
 			r.svc.Add(c.ServiceNs)
 		}
-		if c.WaitNs >= 0 {
-			r.wait.Add(c.WaitNs)
-		}
-	}
-	e := r.epochAt(t)
-	e.completions++
-	if c.Measured && c.LatencyNs >= 0 {
-		e.lat.record(&r.latVals, c.LatencyNs)
-	}
-	if c.WaitNs >= 0 {
-		e.wait.record(&r.waitVals, c.WaitNs)
 	}
 	if c.Depth >= 0 {
 		e.depthSum += int64(c.Depth)
@@ -376,14 +388,27 @@ func (r *Recorder) MeanUtilization(now sim.Time) float64 {
 
 // --- Summary accessors ----------------------------------------------------
 
-// Latency summarizes the headline (measured-class) latency sample.
-func (r *Recorder) Latency() stats.Summary { return r.latency.Summarize() }
+// scratchOf returns the scratch buffer cut to n values, replacing it by one
+// of exactly n when it is too small.
+func (r *Recorder) scratchOf(n int) []float64 {
+	if cap(r.scratch) < n {
+		r.scratch = make([]float64, n)
+	}
+	return r.scratch[:n]
+}
+
+// Latency summarizes the window's headline (measured-class) latencies.
+func (r *Recorder) Latency() stats.Summary {
+	return r.latency.summarize(&r.latVals, r.scratchOf(r.latency.m.N))
+}
 
 // Class summarizes one request class's latency sample.
 func (r *Recorder) Class(i int) stats.Summary { return r.class[i].Summarize() }
 
-// Wait summarizes the pre-service delay sample.
-func (r *Recorder) Wait() stats.Summary { return r.wait.Summarize() }
+// Wait summarizes the window's pre-service delays.
+func (r *Recorder) Wait() stats.Summary {
+	return r.wait.summarize(&r.waitVals, r.scratchOf(r.wait.m.N))
+}
 
 // ServiceMean reports the mean per-request service occupancy (S̄).
 func (r *Recorder) ServiceMean() float64 { return r.svc.Mean() }
@@ -425,7 +450,11 @@ func (r *Recorder) Timeline() Timeline {
 		return tl
 	}
 	tl.Epochs = make([]EpochStats, last+1)
-	var buf []float64
+	size := 0
+	for _, e := range r.epochs[:last+1] {
+		size = max(size, e.lat.m.N, e.wait.m.N)
+	}
+	buf := r.scratchOf(size)
 	for i := 0; i <= last; i++ {
 		e := r.epochs[i]
 		es := EpochStats{
@@ -433,8 +462,8 @@ func (r *Recorder) Timeline() Timeline {
 			EndNanos:       float64(i+1) * r.epochNanos,
 			Completions:    e.completions,
 			ThroughputMRPS: float64(e.completions) / r.epochNanos * 1000,
-			Latency:        e.lat.summarize(&r.latVals, &buf),
-			Wait:           e.wait.summarize(&r.waitVals, &buf),
+			Latency:        e.lat.summarize(&r.latVals, buf),
+			Wait:           e.wait.summarize(&r.waitVals, buf),
 			MaxDepth:       e.depthMax,
 		}
 		if e.depthN > 0 {

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -295,4 +297,109 @@ func TestCompleteRejectsTimeGoingBack(t *testing.T) {
 		}
 	}()
 	r.Complete(at(99), Completion{Measured: true, LatencyNs: 7, WaitNs: 1, Depth: -1})
+}
+
+// TestWindowSummaryMatchesSample checks that the window's latency and wait
+// summaries, read from the stores' window ranges, equal stats.Sample
+// collectors fed the same gated values: with the window opening mid-run and
+// closing, still open, or never opened, and with Timeline read both before
+// and after the window summaries, which must not disturb the stores'
+// completion order.
+func TestWindowSummaryMatchesSample(t *testing.T) {
+	const n = 20000
+	for _, tc := range []struct {
+		name        string
+		open, close int // completion indexes; -1 = never
+	}{
+		{"mid-run", 3000, 15000},
+		{"still-open", 500, -1},
+		{"never-opened", -1, -1},
+		{"closed-unopened", -1, 9000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRecorder(Config{EpochNanos: 50, MaxEpochs: 16, Expect: n})
+			var lat, wait stats.Sample
+			src := rng.New(7)
+			in := false
+			for i := 0; i < n; i++ {
+				if i == tc.open {
+					r.OpenWindow(at(float64(i)))
+					in = true
+				}
+				if i == tc.close {
+					r.CloseWindow(at(float64(i)))
+					in = false
+				}
+				c := Completion{
+					Measured:  src.IntN(5) != 0,
+					LatencyNs: float64(src.IntN(4000)) - 10, // some untracked (<0)
+					WaitNs:    float64(src.IntN(200)) - 30,
+					ServiceNs: -1,
+					Depth:     -1,
+				}
+				if in && c.Measured && c.LatencyNs >= 0 {
+					lat.Add(c.LatencyNs)
+				}
+				if in && c.WaitNs >= 0 {
+					wait.Add(c.WaitNs)
+				}
+				r.Complete(at(float64(i)), c)
+			}
+			before := r.Timeline()
+			if got, want := r.Latency(), lat.Summarize(); got != want {
+				t.Fatalf("latency %+v, sample %+v", got, want)
+			}
+			if got, want := r.Wait(), wait.Summarize(); got != want {
+				t.Fatalf("wait %+v, sample %+v", got, want)
+			}
+			if after := r.Timeline(); !reflect.DeepEqual(before, after) {
+				t.Fatal("timeline changed after the window summaries were read")
+			}
+			if tc.open < 0 && (r.Latency().Count != 0 || r.Wait().Count != 0) {
+				t.Fatal("a window that never opened recorded observations")
+			}
+		})
+	}
+}
+
+// TestReopenWindowPanics: a second window would not be one store range.
+func TestReopenWindowPanics(t *testing.T) {
+	r := NewRecorder(Config{})
+	r.OpenWindow(at(0))
+	r.Complete(at(1), Completion{Measured: true, LatencyNs: 5, WaitNs: 1, Depth: -1})
+	r.CloseWindow(at(2))
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "metrics: ") {
+			t.Fatalf("panic = %q, want a metrics: message", msg)
+		}
+	}()
+	r.OpenWindow(at(3))
+}
+
+// TestLatencyAllocatesOneExactBuffer: a window summary copies its store
+// range into a scratch buffer of exactly its size, allocated on the first
+// call and reused after it, and allocates nothing else.
+func TestLatencyAllocatesOneExactBuffer(t *testing.T) {
+	const n = 100_000
+	r := NewRecorder(Config{})
+	r.OpenWindow(at(0))
+	src := rng.New(3)
+	for i := 0; i < n; i++ {
+		r.Complete(at(float64(i)), Completion{Measured: true, LatencyNs: src.ExpFloat64() * 1e3, WaitNs: 1, Depth: -1})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.Latency()
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 1 {
+		t.Fatalf("the first Latency() made %d allocations, want 1", got)
+	}
+	// A large allocation is rounded up to whole 8 KiB pages.
+	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(8*n); got < want || got >= want+8192 {
+		t.Fatalf("the first Latency() allocated %d bytes, want one %d-byte buffer", got, want)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { r.Latency(); r.Wait() }); allocs != 0 {
+		t.Fatalf("later Latency() and Wait() calls made %v allocations, want 0", allocs)
+	}
 }

@@ -3,15 +3,20 @@
 //
 // Two collectors are provided. Sample keeps every observation and computes
 // exact order statistics; it is the default for experiment-sized runs
-// (hundreds of thousands of samples). Histogram is an HDR-style
-// logarithmically-bucketed histogram with bounded memory and a configurable
-// relative error, for very long runs. The test suite cross-validates the two
+// (hundreds of thousands of samples). A Summary's four percentiles come from
+// Moments.Summarize, which selects the four nearest ranks in place instead
+// of sorting: linear time in practice, O(n log n) at worst, and the same
+// values a full sort would give. Collectors that keep their observations
+// elsewhere (internal/metrics) summarize through it too. Histogram is an
+// HDR-style logarithmically-bucketed histogram with bounded memory and a
+// configurable relative error, for very long runs. The test suite cross-validates the two
 // against each other.
 package stats
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -75,20 +80,58 @@ func (m Moments) Variance() float64 {
 	return v
 }
 
-// Summarize builds the Summary of the observations these moments describe;
-// sorted must hold exactly those observations in ascending order.
-func (m Moments) Summarize(sorted []float64) Summary {
-	return Summary{
+// Summarize builds the Summary of the observations these moments describe.
+// values must hold exactly those observations, in any order; Summarize
+// reorders them in place. Each percentile is the nearest-rank order
+// statistic in sort.Float64s's order (NaN first), found by selection:
+// P50, P90, P99 and P999 in turn, each search confined to the values after
+// the previous rank.
+func (m Moments) Summarize(values []float64) Summary {
+	s := Summary{
 		Count:  m.N,
 		Mean:   m.Mean(),
 		Min:    m.Min,
 		Max:    m.Max,
-		P50:    quantile(sorted, 0.50),
-		P90:    quantile(sorted, 0.90),
-		P99:    quantile(sorted, 0.99),
-		P999:   quantile(sorted, 0.999),
 		StdDev: math.Sqrt(m.Variance()),
 	}
+	n := len(values)
+	if n == 0 {
+		return s
+	}
+	// NaNs order first; gathering them up front lets selection compare the
+	// rest with <.
+	lo := 0
+	for i, v := range values {
+		if v != v {
+			values[i], values[lo] = values[lo], v
+			lo++
+		}
+	}
+	for _, q := range []struct {
+		p   float64
+		dst *float64
+	}{{0.50, &s.P50}, {0.90, &s.P90}, {0.99, &s.P99}, {0.999, &s.P999}} {
+		// values[:lo] are all ordered before values[lo:].
+		k := rank(q.p, n)
+		if k >= lo {
+			selectRank(values[lo:], k-lo)
+			lo = k + 1
+		}
+		*q.dst = values[k]
+	}
+	return s
+}
+
+// rank returns the 0-based nearest rank of the p-quantile among n > 0
+// ascending values.
+func rank(p float64, n int) int {
+	if p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return n - 1
+	}
+	return max(int(math.Ceil(p*float64(n)))-1, 0)
 }
 
 // quantile returns the p-quantile of ascending values by the nearest-rank
@@ -97,17 +140,85 @@ func quantile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	if p <= 0 {
-		return sorted[0]
+	return sorted[rank(p, len(sorted))]
+}
+
+// selectRank reorders a, which holds no NaN, so that a[k] is its rank-k
+// value, with no value before it larger and none after it smaller
+// (introselect). After 2·log2(len(a)) partitioning rounds it sorts what is
+// left instead, so adversarial inputs stay O(n log n).
+func selectRank(a []float64, k int) {
+	lo, hi := 0, len(a)
+	for budget := 2 * bits.Len(uint(len(a))); hi-lo > insertionMax; budget-- {
+		if budget == 0 {
+			sortFallback(a[lo:hi])
+			return
+		}
+		if cut := lo + partition(a[lo:hi]); k < cut {
+			hi = cut
+		} else {
+			lo = cut
+		}
 	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
+	insertionSort(a[lo:hi])
+}
+
+// insertionMax is the range length below which selection sorts by
+// insertion.
+const insertionMax = 12
+
+// sortFallback sorts a range whose selection ran out of depth budget.
+// Tests swap it to observe the fallback.
+var sortFallback = sort.Float64s
+
+// partition moves the median of a[1], a[len/2] and a[len-1] to a[0] and
+// splits a around that pivot (Hoare), returning cut with 0 < cut < len(a),
+// no value of a[:cut] above the pivot and none of a[cut:] below it. Values
+// equal to the pivot stop both scans, so duplicates split evenly. The
+// median of three bounds both scans, so they need no index checks. len(a)
+// must be at least 4.
+func partition(a []float64) int {
+	x, y, z := 1, len(a)/2, len(a)-1
+	m := y
+	switch {
+	case a[x] < a[y]:
+		if a[y] >= a[z] {
+			m = z
+			if a[x] >= a[z] {
+				m = x
+			}
+		}
+	case a[x] < a[z]:
+		m = x
+	case a[y] < a[z]:
+		m = z
 	}
-	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
+	a[0], a[m] = a[m], a[0]
+	p := a[0]
+	i, j := 1, len(a)
+	for {
+		for a[i] < p {
+			i++
+		}
+		j--
+		for p < a[j] {
+			j--
+		}
+		if i >= j {
+			return i
+		}
+		a[i], a[j] = a[j], a[i]
+		i++
 	}
-	return sorted[rank]
+}
+
+// insertionSort sorts a short range in place.
+func insertionSort(a []float64) {
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j] < a[j-1]; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
 }
 
 // Sample accumulates float64 observations and computes exact statistics.
@@ -189,9 +300,10 @@ func (s *Sample) Reset() {
 	s.m = Moments{}
 }
 
-// Values returns a copy of the recorded observations (sorted if a quantile
-// has been computed). The copy is the caller's to keep: mutating it cannot
-// corrupt the collector's internal state.
+// Values returns a copy of the recorded observations: in insertion order,
+// sorted after a Quantile, reordered after a Summarize. The copy is the
+// caller's to keep: mutating it cannot corrupt the collector's internal
+// state.
 func (s *Sample) Values() []float64 {
 	out := make([]float64, len(s.values))
 	copy(out, s.values)
@@ -219,9 +331,10 @@ type Summary struct {
 	StdDev         float64
 }
 
-// Summarize computes a Summary from the sample.
+// Summarize computes a Summary from the sample. It selects the percentiles
+// in place, so the observations are left in no particular order.
 func (s *Sample) Summarize() Summary {
-	s.sort()
+	s.sorted = false
 	return s.m.Summarize(s.values)
 }
 
